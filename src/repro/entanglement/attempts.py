@@ -14,8 +14,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, List
 
-import numpy as np
-
 from repro.exceptions import EntanglementError
 
 __all__ = ["AttemptPolicy", "AttemptSchedule"]
@@ -133,18 +131,6 @@ class AttemptSchedule:
         if attempt < 0:
             raise EntanglementError("attempt index must be non-negative")
         return self.first_completion(pair_index) + attempt * self.cycle_time
-
-    def completion_times(self, pair_index: int, attempts) -> np.ndarray:
-        """Vectorized :meth:`attempt_completion` over an array of attempts.
-
-        ``first + k * cycle`` in one float64 array operation; IEEE-754
-        guarantees each element equals the scalar result bit for bit, which
-        the bulk sampling in :mod:`repro.entanglement.generator` relies on.
-        """
-        attempts = np.asarray(attempts)
-        if attempts.size and int(attempts.min()) < 0:
-            raise EntanglementError("attempt index must be non-negative")
-        return self.first_completion(pair_index) + attempts * self.cycle_time
 
     def attempt_index_completing_after(self, pair_index: int, time: float) -> int:
         """Index of the first attempt whose completion is strictly after ``time``.

@@ -13,9 +13,16 @@ call per attempt.  NumPy draws the identical variate sequence whether
 ``random()`` is called ``n`` times or once with ``size=n``, so block
 sampling is bit-identical to the historical per-attempt draws — this is
 what lets the batched executor and the legacy reference executor share one
-stochastic process.  Success *times* are materialised alongside the
-outcomes as sorted per-pair arrays, turning interval queries into binary
-searches instead of per-attempt Python loops.
+stochastic process.  Per-pair success times are kept as sorted lists.
+
+The successes of all pairs also form one merged *timeline*: parallel lists
+``times``/``pairs``/``attempts`` sorted by ``(time, pair)`` and grown in
+doubling time horizons.  The entanglement service walks it with a cursor,
+so an advance is a bisection plus a slice, not a scan over every pair.
+Scans keep the historical grid-hit rule: a pair's scan from ``start``
+begins at :meth:`AttemptSchedule.attempt_index_completing_after`, which
+skips a completion within ``1e-9`` cycles above ``start``
+(:meth:`EntanglementGenerator.grid_skips`).
 """
 
 from __future__ import annotations
@@ -35,6 +42,13 @@ __all__ = ["GenerationEvent", "EntanglementGenerator"]
 #: :data:`_MAX_BLOCK` so long simulations stay O(log) in RNG calls.
 _MIN_BLOCK = 128
 _MAX_BLOCK = 8192
+#: Span, in cycles, of the merged timeline's first horizon (it doubles on
+#: each growth); most runs end within a few dozen cycles.
+_FIRST_SPAN = 8
+#: Width, in cycles, of the window above a scan start inside which the
+#: grid-hit rule of :meth:`AttemptSchedule.attempt_index_completing_after`
+#: (a ``1e-9``-cycle tolerance) can drop a success; ten-fold margin.
+_GRID_WINDOW = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,25 +99,29 @@ class EntanglementGenerator:
         self._outcomes: List[List[np.ndarray]] = [[] for _ in range(slots)]
         self._success_times: List[List[float]] = [[] for _ in range(slots)]
         self._success_attempts: List[List[int]] = [[] for _ in range(slots)]
-        self._first_completion: List[Optional[float]] = [None] * slots
+        self._first_completion = [schedule.first_completion(pair_index)
+                                  for pair_index in range(slots)]
+        # The merged timeline: every success of every pair completing at
+        # or before ``horizon``, sorted by (time, pair); ``_merged`` counts
+        # each pair's successes already in it.
+        self.times: List[float] = []
+        self.pairs: List[int] = []
+        self.attempts: List[int] = []
+        self.horizon = float("-inf")
+        self._merged: List[int] = [0] * slots
+        self._grid_window = _GRID_WINDOW * schedule.cycle_time
 
     # ------------------------------------------------------------------
     def _rng_for(self, pair_index: int) -> np.random.Generator:
         rng = self._rngs[pair_index]
         if rng is None:
-            rng = np.random.default_rng(
+            # Exactly what ``default_rng(seed_sequence)`` builds, minus
+            # its dispatch overhead (one generator per seed and pair).
+            rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(entropy=self.seed,
-                                       spawn_key=(pair_index,))
-            )
+                                       spawn_key=(pair_index,))))
             self._rngs[pair_index] = rng
         return rng
-
-    def _first_completion_of(self, pair_index: int) -> float:
-        first = self._first_completion[pair_index]
-        if first is None:
-            first = self.schedule.first_completion(pair_index)
-            self._first_completion[pair_index] = first
-        return first
 
     def _attempt_after(self, pair_index: int, time: float) -> int:
         """Inline replica of :meth:`AttemptSchedule.attempt_index_completing_after`.
@@ -113,8 +131,6 @@ class EntanglementGenerator:
         five-deep method chain in the per-query hot path.
         """
         first = self._first_completion[pair_index]
-        if first is None:
-            first = self._first_completion_of(pair_index)
         if time < first - 1e-12:
             return 0
         elapsed = (time - first) / self.schedule.cycle_time
@@ -133,7 +149,8 @@ class EntanglementGenerator:
         are bit-identical to the per-attempt sampling this replaces.
         Successful attempts are appended to the pair's sorted success-time
         arrays (``completion = first + k * cycle``, the same float
-        arithmetic as :meth:`AttemptSchedule.attempt_completion`).
+        arithmetic as :meth:`AttemptSchedule.attempt_completion`; IEEE-754
+        makes each array element equal the scalar result bit for bit).
         """
         drawn = self._drawn[pair_index]
         block = min(_MAX_BLOCK, max(_MIN_BLOCK, drawn))
@@ -142,7 +159,8 @@ class EntanglementGenerator:
         successes = np.nonzero(outcomes)[0]
         if successes.size:
             attempts = successes + drawn
-            times = self.schedule.completion_times(pair_index, attempts)
+            times = (self._first_completion[pair_index]
+                     + attempts * self.schedule.cycle_time)
             self._success_times[pair_index].extend(times.tolist())
             self._success_attempts[pair_index].extend(attempts.tolist())
         self._drawn[pair_index] = drawn + block
@@ -154,7 +172,7 @@ class EntanglementGenerator:
 
     def _ensure_time(self, pair_index: int, time: float) -> None:
         """Materialise every attempt completing at or before ``time``."""
-        first = self._first_completion_of(pair_index)
+        first = self._first_completion[pair_index]
         cycle = self.schedule.cycle_time
         threshold = time + 1e-12
         drawn = self._drawn[pair_index]
@@ -243,124 +261,77 @@ class EntanglementGenerator:
                 f"no success within {max_attempts} attempts (psucc too small?)"
             )
 
-    def first_fresh_success(self, time: float, excluded,
-                            horizon: float) -> Optional[GenerationEvent]:
-        """Earliest success after ``time`` not in ``excluded``, across pairs.
+    # ------------------------------------------------------------------
+    # merged success timeline
+    # ------------------------------------------------------------------
+    def extend_timeline(self, threshold: float) -> None:
+        """Grow the timeline until its horizon lies beyond ``threshold``.
 
-        Implements the selection rule of the service's direct-consumption
-        path in one fused scan: successes are ordered by ``(completion,
-        pair_index)``, the boundary semantics match
-        :meth:`successes_between` exactly (attempt-index lower bound plus
-        the ``> time + 1e-12`` filter), ``excluded`` holds already-delivered
-        ``(pair_index, attempt_index)`` keys, and attempts are drawn lazily
-        no further than ``horizon`` (or the best candidate found so far).
-        Returns ``None`` when nothing completes by ``horizon``.
+        The horizon's span past the schedule start at least doubles, so a
+        run costs O(log) growths.  Each pair draws through the same
+        outcome blocks as the per-pair queries, and the successes in
+        ``(old horizon, new horizon]`` are appended in ``(time, pair)``
+        order, which keeps the whole timeline sorted.
         """
-        cycle = self.schedule.cycle_time
-        threshold = time + 1e-12
-        best_time = float("inf")
-        best_pair = -1
-        best_attempt = -1
+        origin = self.schedule.start_time
+        horizon = max(threshold + self.schedule.cycle_time,
+                      origin + 2 * (self.horizon - origin),
+                      origin + _FIRST_SPAN * self.schedule.cycle_time)
+        batch = []
         for pair_index in range(self.schedule.num_pairs):
-            first = self._first_completion_of(pair_index)
-            first_attempt = self._attempt_after(pair_index, time)
+            self._ensure_time(pair_index, horizon)
             times = self._success_times[pair_index]
-            attempts = self._success_attempts[pair_index]
-            index = bisect_left(attempts, first_attempt)
-            start_bound = bisect_right(times, threshold)
-            if start_bound > index:
-                index = start_bound
-            # Only successes strictly before the current best can win (a
-            # tie keeps the earlier pair, matching merged (time, pair)
-            # order), so the draw limit shrinks as candidates are found.
-            limit = horizon if best_time > horizon else best_time
-            while True:
-                if index < len(times):
-                    candidate = times[index]
-                    if candidate >= best_time:
-                        break
-                    if (pair_index, attempts[index]) not in excluded:
-                        best_time = candidate
-                        best_pair = pair_index
-                        best_attempt = attempts[index]
-                        break
-                    index += 1
-                    continue
-                drawn = self._drawn[pair_index]
-                if drawn > 0 and first + (drawn - 1) * cycle > limit:
-                    break
-                self._extend(pair_index)
-        if best_pair < 0:
-            return None
-        return GenerationEvent(best_time, best_pair, best_attempt)
+            lo = self._merged[pair_index]
+            hi = bisect_right(times, horizon, lo)
+            batch.extend(zip(times[lo:hi], [pair_index] * (hi - lo),
+                             self._success_attempts[pair_index][lo:hi]))
+            self._merged[pair_index] = hi
+        if batch:
+            batch.sort()
+            times, pairs, attempts = zip(*batch)
+            self.times.extend(times)
+            self.pairs.extend(pairs)
+            self.attempts.extend(attempts)
+        self.horizon = horizon
 
-    def earliest_success_bound(self, after: float) -> float:
-        """Lower bound on the completion time of any success after ``after``.
+    def timeline_index(self, threshold: float) -> int:
+        """Number of timeline successes completing at or before ``threshold``.
 
-        Returns a time ``T`` such that every success with completion
-        ``t > after + 1e-12`` satisfies ``t >= T``, using only attempts
-        drawn so far (the method never samples).  For pairs whose drawn
-        horizon holds no later success, the earliest *undrawn* attempt
-        completion bounds them.  Consumers (the entanglement service) use
-        this to skip interval scans that provably contain no success.
+        Grows the timeline first if ``threshold`` reaches its horizon, so
+        the answer is final: later growth only appends later successes.
         """
-        cycle = self.schedule.cycle_time
-        threshold = after + 1e-12
-        bound = float("inf")
-        for pair_index in range(self.schedule.num_pairs):
-            times = self._success_times[pair_index]
-            index = bisect_right(times, threshold)
-            if index < len(times):
-                candidate = times[index]
-            else:
-                drawn = self._drawn[pair_index]
-                if drawn == 0:
-                    return after
-                # Next undrawn attempt of this pair completes at
-                # first + drawn * cycle; any success of the pair after
-                # ``after`` is at or beyond whichever is later.
-                candidate = self._first_completion_of(pair_index) + drawn * cycle
-                if candidate <= threshold:
-                    return after
-            if candidate < bound:
-                bound = candidate
-        return bound
+        if threshold >= self.horizon:
+            self.extend_timeline(threshold)
+        return bisect_right(self.times, threshold)
+
+    def grid_skips(self, index: int, start: float) -> bool:
+        """Whether a scan starting at ``start`` drops timeline entry ``index``.
+
+        The historical scans start each pair at
+        :meth:`AttemptSchedule.attempt_index_completing_after`, whose
+        grid-hit tolerance skips a completion lying within ``1e-9`` cycles
+        above ``start``.  Only entries inside that tiny window can differ
+        from the plain ``> start + 1e-12`` time filter, so the attempt
+        index is computed for them alone.
+        """
+        return (self.times[index] <= start + self._grid_window
+                and self.attempts[index]
+                < self._attempt_after(self.pairs[index], start))
 
     def merged_successes_between(self, start: float, end: float) -> List[GenerationEvent]:
-        """Successes of *all* pairs in ``(start, end]``, sorted by time.
+        """Successes of *all* pairs in ``(start, end]``, in ``(time, pair)`` order.
 
-        Inlined fusion of per-pair :meth:`successes_between` (identical
-        boundary semantics) — the executor calls this once per service
-        advance, so the per-pair dispatch overhead is on the hot path.
+        A slice of the merged timeline with the boundary semantics of
+        :meth:`successes_between`.
         """
         if end < start:
             return []
-        cycle = self.schedule.cycle_time
-        start_threshold = start + 1e-12
-        end_threshold = end + 1e-12
-        events: List[GenerationEvent] = []
-        for pair_index in range(self.schedule.num_pairs):
-            # _ensure_time, inlined on the cached frontier.
-            first = self._first_completion_of(pair_index)
-            drawn = self._drawn[pair_index]
-            while drawn == 0 or first + (drawn - 1) * cycle <= end_threshold:
-                self._extend(pair_index)
-                drawn = self._drawn[pair_index]
-            times = self._success_times[pair_index]
-            if not times or times[-1] <= start_threshold:
-                continue
-            first_attempt = self._attempt_after(pair_index, start)
-            attempts = self._success_attempts[pair_index]
-            lo = bisect_left(attempts, first_attempt)
-            start_bound = bisect_right(times, start_threshold)
-            if start_bound > lo:
-                lo = start_bound
-            hi = bisect_right(times, end_threshold)
-            for i in range(lo, hi):
-                events.append(GenerationEvent(times[i], pair_index, attempts[i]))
-        if len(events) > 1:
-            events.sort(key=lambda event: (event.time, event.pair_index))
-        return events
+        lo = self.timeline_index(start + 1e-12)
+        hi = self.timeline_index(end + 1e-12)
+        return [
+            GenerationEvent(self.times[i], self.pairs[i], self.attempts[i])
+            for i in range(lo, hi) if not self.grid_skips(i, start)
+        ]
 
     # ------------------------------------------------------------------
     def expected_rate(self) -> float:

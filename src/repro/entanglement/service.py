@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.entanglement.buffer import BufferPool
-from repro.entanglement.generator import EntanglementGenerator, GenerationEvent
+from repro.entanglement.generator import EntanglementGenerator
 from repro.entanglement.link import EntanglementLink, LinkLocation
 from repro.exceptions import EntanglementError
 
@@ -113,10 +113,10 @@ class EntanglementService:
         self.node_pair = (min(node_pair), max(node_pair))
         self.statistics = ServiceStatistics()
         self._materialized_until = 0.0
-        #: Lower bound on the next success past the materialised frontier
-        #: (0.0 = unknown, forces a scan); lets empty advances skip the
-        #: per-pair interval queries that dominate the execute hot path.
-        self._next_success_bound = 0.0
+        #: Timeline index of the first success past the materialised
+        #: frontier, and the indices at or beyond it already consumed
+        #: directly by :meth:`acquire`.
+        self._cursor = 0
         self._delivered: set = set()
         self._prefill_links(prefill)
 
@@ -133,13 +133,13 @@ class EntanglementService:
             if not stored:  # pragma: no cover - guarded by the prefill check
                 raise EntanglementError("buffer rejected a pre-filled link")
 
-    def _new_link(self, event: GenerationEvent) -> EntanglementLink:
+    def _new_link(self, time: float, pair_index: int) -> EntanglementLink:
         self.statistics.generated_total += 1
         return EntanglementLink(
             node_pair=self.node_pair,
-            created_time=event.time,
+            created_time=time,
             initial_fidelity=self.initial_fidelity,
-            pair_index=event.pair_index,
+            pair_index=pair_index,
         )
 
     # ------------------------------------------------------------------
@@ -150,28 +150,26 @@ class EntanglementService:
 
         Successes are stored into the buffer (or wasted when it is full or
         absent).  Idempotent: advancing to an earlier time than already
-        materialised is a no-op.
+        materialised is a no-op.  The successes delivered are the timeline
+        entries from the cursor up to ``time + 1e-12``, less those already
+        consumed directly and those the grid-hit rule drops at the old
+        frontier.
         """
-        if time <= self._materialized_until + 1e-12:
+        start = self._materialized_until
+        if time <= start + 1e-12:
             return
-        if time + 1e-12 < self._next_success_bound:
-            # Provably no success completes in (materialised, time]; move
-            # the frontier without scanning any pair.
-            self._materialized_until = time
-            self.buffer.expire_until(time)
-            return
-        events = self.generator.merged_successes_between(
-            self._materialized_until, time
-        )
-        for event in events:
-            key = (event.pair_index, event.attempt_index)
-            if key in self._delivered:
-                continue
-            self._delivered.add(key)
-            link = self._new_link(event)
-            self.buffer.store(link, event.time + self.swap_latency)
+        generator = self.generator
+        end = generator.timeline_index(time + 1e-12)
+        delivered = self._delivered
+        times = generator.times
+        for index in range(self._cursor, end):
+            if index in delivered:
+                delivered.discard(index)
+            elif not generator.grid_skips(index, start):
+                link = self._new_link(times[index], generator.pairs[index])
+                self.buffer.store(link, times[index] + self.swap_latency)
+        self._cursor = end
         self._materialized_until = time
-        self._next_success_bound = self.generator.earliest_success_bound(time)
         self.buffer.expire_until(time)
 
     def count_available(self, time: float) -> int:
@@ -216,19 +214,27 @@ class EntanglementService:
 
         # 3. Wait for the next fresh success (consumed directly from the
         #    communication qubits, no buffering SWAP needed): the earliest
-        #    undelivered success in (time, pair) order after the scan start.
+        #    undelivered timeline entry after the scan start.
         scan_start = max(after, self._materialized_until)
         horizon = scan_start + max_scan
-        best = self.generator.first_fresh_success(
-            scan_start, self._delivered, horizon
-        )
-        if best is None or best.time > horizon + 1e-12:
+        generator = self.generator
+        times = generator.times
+        index = generator.timeline_index(scan_start + 1e-12)
+        while (index == len(times) or index in self._delivered
+               or generator.grid_skips(index, scan_start)):
+            if index < len(times):
+                index += 1
+            elif generator.horizon > horizon + 1e-12:
+                break
+            else:
+                generator.extend_timeline(generator.horizon)
+        if index == len(times) or times[index] > horizon + 1e-12:
             raise EntanglementError(
                 f"no entanglement success found within {max_scan} time units"
             )
-        self._delivered.add((best.pair_index, best.attempt_index))
-        link = self._new_link(best)
-        ready = max(after, best.time)
+        self._delivered.add(index)
+        link = self._new_link(times[index], generator.pairs[index])
+        ready = max(after, link.created_time)
         age = link.consume(ready)
         self.statistics.consumed_direct += 1
         self.statistics.direct_consumed_age += age

@@ -131,6 +131,9 @@ class FleetSweep:
         self.chunks = chunks
         self.pending: deque = deque(range(len(chunks)))
         self.chunk_leases: Dict[int, Set[int]] = {}
+        #: Chunk index of every lease issued for this sweep, live or not:
+        #: only these leases may file a result or a failure.
+        self.leases: Dict[int, int] = {}
         self.attempts: List[int] = [0] * len(chunks)
         self.done: Set[int] = set()
         self.completions: "Queue[Optional[Tuple[int, list]]]" = Queue()
@@ -191,6 +194,7 @@ class FleetCoordinator:
         self._lease_counter = 0
         self._worker_counter = 0
         self._closing = False
+        self._stopped = threading.Event()  # wakes the reaper on close
         self._started = False
         # Cells available for shipping: live objects plus a pickled-frame
         # cache so a cell is pickled once per coordinator, not per worker.
@@ -265,7 +269,14 @@ class FleetCoordinator:
             listener, self._listener = self._listener, None
             links = list(self._links.values())
             sweep = self._sweep
+        self._stopped.set()
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does (accept fails with EINVAL).
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             listener.close()
         for link in links:
             try:
@@ -505,7 +516,8 @@ class FleetCoordinator:
         """Drop ``lease`` and requeue its chunk if nobody else holds it."""
         self._leases.pop(lease.id, None)
         sweep = self._sweep
-        if sweep is None or lease.chunk in sweep.done:
+        if sweep is None or lease.id not in sweep.leases \
+                or lease.chunk in sweep.done:
             return
         holders = sweep.chunk_leases.get(lease.chunk)
         if holders is not None:
@@ -553,6 +565,7 @@ class FleetCoordinator:
             )
             self._leases[lease.id] = lease
             sweep.chunk_leases.setdefault(index, set()).add(lease.id)
+            sweep.leases[lease.id] = index
             self._leases_issued += 1
             chunk = sweep.chunks[index]
             return {
@@ -583,10 +596,15 @@ class FleetCoordinator:
     def _complete(self, message: Mapping[str, Any]) -> None:
         results = protocol.unpack_payload(message["payload"])
         with self._lock:
-            lease = self._leases.pop(int(message.get("lease", -1)), None)
+            lease_id = int(message.get("lease", -1))
+            lease = self._leases.pop(lease_id, None)
             sweep = self._sweep
             index = int(message["chunk"])
-            if sweep is None or not 0 <= index < len(sweep.chunks):
+            # A result counts only under a lease issued in this sweep (an
+            # expired one included): a stolen duplicate of an earlier
+            # sweep's chunk must not land under this sweep's chunk of the
+            # same index.
+            if sweep is None or sweep.leases.get(lease_id) != index:
                 self._duplicate_results += 1
                 return
             if lease is not None:
@@ -618,7 +636,8 @@ class FleetCoordinator:
 
     def _failure(self, message: Mapping[str, Any]) -> None:
         with self._lock:
-            lease = self._leases.pop(int(message.get("lease", -1)), None)
+            lease_id = int(message.get("lease", -1))
+            lease = self._leases.pop(lease_id, None)
             if lease is not None:
                 acc = self._worker_acc(lease.worker)
                 acc["failures"] += 1
@@ -631,7 +650,7 @@ class FleetCoordinator:
                     self._workers_quarantined += 1
             sweep = self._sweep
             index = int(message.get("chunk", -1))
-            if sweep is None or not 0 <= index < len(sweep.chunks) \
+            if sweep is None or sweep.leases.get(lease_id) != index \
                     or index in sweep.done:
                 return
             sweep.attempts[index] += 1
@@ -650,8 +669,7 @@ class FleetCoordinator:
                 sweep.pending.appendleft(index)
 
     def _reaper_loop(self) -> None:
-        while True:
-            time.sleep(self.poll)
+        while not self._stopped.wait(self.poll):
             with self._lock:
                 if self._closing:
                     return

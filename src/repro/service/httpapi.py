@@ -80,12 +80,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         """Silence per-request stderr chatter (the CLI owns the terminal)."""
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(status, json.dumps(payload, indent=2) + "\n",
+                        "application/json")
 
     def _send_text(self, status: int, text: str,
                    content_type: str) -> None:
@@ -93,8 +89,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Headers and body leave in one write: a second small write on a
+        # kept-alive connection waits for the client's delayed ACK
+        # (~40 ms per response).
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _read_json_body(self) -> Optional[Dict[str, Any]]:
         """The request body as a JSON object, or ``None`` after a 400."""

@@ -118,6 +118,18 @@ class TestGenerator:
         times = [e.time for e in events]
         assert times == sorted(times)
 
+    def test_merged_timeline_matches_per_pair_queries(self):
+        merged = self._generator(policy=AttemptPolicy.ASYNCHRONOUS, seed=9)
+        per_pair = self._generator(policy=AttemptPolicy.ASYNCHRONOUS, seed=9)
+        # 20 - 1e-10 sits inside the grid-hit window of the completions at 20.
+        for start, end in [(0.0, 35.0), (10.0, 10.0), (20.0 - 1e-10, 61.0),
+                           (17.3, 400.0), (400.0, 401.0), (0.0, 3000.0)]:
+            expected = sorted(
+                (e.time, e.pair_index, e.attempt_index) for pair in range(10)
+                for e in per_pair.successes_between(pair, start, end))
+            assert [(e.time, e.pair_index, e.attempt_index) for e in
+                    merged.merged_successes_between(start, end)] == expected
+
     def test_expected_rate(self):
         generator = self._generator(psucc=0.4, pairs=10)
         assert generator.expected_rate() == pytest.approx(0.4)

@@ -394,6 +394,14 @@ class TestCoordinator:
         worker = FleetWorker("127.0.0.1:1", retry=0.2, quiet=True)
         assert worker.run() == 1
 
+    def test_close_is_prompt_and_joins_the_accept_thread(self):
+        coordinator = FleetCoordinator("127.0.0.1", 0).start()
+        started = time.monotonic()
+        coordinator.close()
+        assert time.monotonic() - started < 0.5
+        assert not any(thread.name == "fleet-accept" and thread.is_alive()
+                       for thread in threading.enumerate())
+
     def test_closed_coordinator_sends_workers_home(self):
         backend = FleetBackend(listen="127.0.0.1:0", poll=0.02)
         backend.start()
@@ -509,3 +517,68 @@ class TestHardening:
             assert worker["seeds_per_s"] >= 0.0
             assert worker["failures"] == 0
             assert not worker["quarantined"]
+
+
+# ----------------------------------------------------------------------
+# lease scoping: results file only under leases of the current sweep
+# ----------------------------------------------------------------------
+def report(sock, lease, results):
+    """Send ``results`` for ``lease`` and return the coordinator's reply."""
+    protocol.send_message(sock, {
+        "type": "result", "lease": lease["lease"], "chunk": lease["chunk"],
+        "cell": lease["cell"], "payload": protocol.pack_payload(results)})
+    return protocol.recv_message(sock)
+
+
+class TestLeaseScoping:
+    def test_stolen_lease_of_previous_sweep_is_a_duplicate(self):
+        coordinator = FleetCoordinator("127.0.0.1", 0, poll=0.05).start()
+        fast = slow = None
+        try:
+            first = coordinator.submit([("cell", [1])], {"cell": object()})
+            fast = raw_worker(coordinator, "fast")
+            slow = raw_worker(coordinator, "slow")
+            protocol.send_message(fast, {"type": "ready"})
+            original = protocol.recv_message(fast)
+            protocol.send_message(slow, {"type": "ready"})
+            stolen = protocol.recv_message(slow)
+            assert stolen["type"] == "lease" and stolen["stolen"]
+            assert stolen["chunk"] == original["chunk"] == 0
+            report(fast, original, ["first-sweep"])
+            assert first.completions.get(timeout=5) == (0, ["first-sweep"])
+
+            second = coordinator.submit([("cell", [2])], {"cell": object()})
+            # The first sweep's stolen duplicate reports during the second.
+            report(slow, stolen, ["stale"])
+            assert coordinator.stats()["duplicate_results"] == 1
+            assert second.remaining == 1 and second.completions.empty()
+            # The second sweep's own lease still completes it.
+            protocol.send_message(fast, {"type": "ready"})
+            fresh = protocol.recv_message(fast)
+            assert fresh["type"] == "lease" and fresh["seeds"] == [2]
+            report(fast, fresh, ["second-sweep"])
+            assert second.completions.get(timeout=5) == (0, ["second-sweep"])
+        finally:
+            for sock in (fast, slow):
+                if sock is not None:
+                    sock.close()
+            coordinator.close()
+
+    def test_expired_lease_of_current_sweep_still_counts(self):
+        coordinator = FleetCoordinator("127.0.0.1", 0, poll=0.02,
+                                       lease_timeout=0.05).start()
+        late = None
+        try:
+            sweep = coordinator.submit([("cell", [1])], {"cell": object()})
+            late = raw_worker(coordinator, "late")
+            protocol.send_message(late, {"type": "ready"})
+            lease = protocol.recv_message(late)
+            poll_until(lambda: coordinator.stats()["leases_expired"] >= 1,
+                       timeout=30)
+            report(late, lease, ["late"])
+            assert sweep.completions.get(timeout=5) == (0, ["late"])
+            assert coordinator.stats()["duplicate_results"] == 0
+        finally:
+            if late is not None:
+                late.close()
+            coordinator.close()

@@ -310,3 +310,155 @@ def test_columnar_construction_matches_record_construction(records):
         [r.params for r in records])
     assert columnar.to_json() == direct.to_json()
     assert _canonical_json(columnar.records) == _canonical_json(records)
+
+
+# ---------------------------------------------------------------------------
+# entanglement service vs a brute-force per-attempt reference
+# ---------------------------------------------------------------------------
+
+class _ReferenceSupply:
+    """The entanglement service's contract, one attempt at a time.
+
+    Walks every attempt of every pair from
+    :meth:`AttemptSchedule.attempt_index_completing_after` (so its grid-hit
+    rule applies) and reads outcomes through the public per-pair
+    ``attempt_succeeds`` query; buffering goes through the same
+    :class:`BufferPool` as the service.
+    """
+
+    def __init__(self, generator, capacity, cutoff, swap_latency):
+        from repro.entanglement import BufferPool
+
+        self.generator = generator
+        self.schedule = generator.schedule
+        self.buffer = BufferPool(capacity, cutoff=cutoff)
+        self.swap_latency = swap_latency
+        self.until = 0.0
+        self.delivered = set()
+        self.generated = 0
+        self.direct = 0
+
+    def _successes(self, pair, start, end):
+        attempt = self.schedule.attempt_index_completing_after(pair, start)
+        while True:
+            completion = self.schedule.attempt_completion(pair, attempt)
+            if completion > end + 1e-12:
+                return
+            if (completion > start + 1e-12
+                    and (pair, attempt) not in self.delivered
+                    and self.generator.attempt_succeeds(pair, attempt)):
+                yield completion, pair, attempt
+            attempt += 1
+
+    def _link(self, time, pair, attempt):
+        from repro.entanglement import EntanglementLink
+
+        self.delivered.add((pair, attempt))
+        self.generated += 1
+        return EntanglementLink(node_pair=(0, 1), created_time=time,
+                                initial_fidelity=0.99, pair_index=pair)
+
+    def advance_to(self, time):
+        if time <= self.until + 1e-12:
+            return
+        events = sorted(
+            event for pair in range(self.schedule.num_pairs)
+            for event in self._successes(pair, self.until, time))
+        for event in events:
+            self.buffer.store(self._link(*event), event[0] + self.swap_latency)
+        self.until = time
+        self.buffer.expire_until(time)
+
+    def count_available(self, time):
+        self.advance_to(time)
+        return self.buffer.count_available(time)
+
+    def acquire(self, after):
+        self.advance_to(after)
+        if self.buffer.count_available(after) > 0:
+            return after, self.buffer.pop_available(after)
+        pending = [link.buffered_time for link in self.buffer.stored_links
+                   if link.buffered_time is not None
+                   and link.buffered_time > after]
+        if pending:
+            ready = min(pending)
+            return ready, self.buffer.pop_available(ready)
+        start = max(after, self.until)
+        # One success per pair at most 200 cycles out is certain enough
+        # for psucc >= 0.2 (and deterministic per seed either way).
+        best = min(next(self._successes(pair, start, start + 200
+                                        * self.schedule.cycle_time))
+                   for pair in range(self.schedule.num_pairs))
+        link = self._link(*best)
+        ready = max(after, best[0])
+        link.consume(ready)
+        self.direct += 1
+        return ready, link
+
+
+@st.composite
+def supply_scripts(draw):
+    """A schedule, a buffer configuration and a timed operation script."""
+    policy = draw(st.sampled_from([AttemptPolicy.SYNCHRONOUS,
+                                   AttemptPolicy.ASYNCHRONOUS]))
+    schedule = AttemptSchedule(
+        num_pairs=draw(st.integers(1, 5)),
+        cycle_time=draw(st.sampled_from([10.0, 3.7, 0.3])),
+        policy=policy, num_groups=draw(st.integers(1, 4)),
+        stagger=draw(st.sampled_from([1.0, 0.1, 0.7])))
+    config = {
+        "psucc": draw(st.sampled_from([0.2, 0.4, 0.9, 1.0])),
+        "seed": draw(st.integers(0, 50)),
+        "capacity": draw(st.sampled_from([0, 1, 3])),
+        "cutoff": draw(st.sampled_from([None, 2.5, 40.0])),
+    }
+    ops = []
+    time = 0.0
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["advance", "acquire", "count"]))
+        if draw(st.booleans()):
+            # Land on (or just beside) a grid completion ahead of ``time``.
+            pair = draw(st.integers(0, schedule.num_pairs - 1))
+            attempt = schedule.attempt_index_completing_after(pair, time)
+            attempt += draw(st.integers(0, 3))
+            offset = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-10, -1e-10]))
+            time = schedule.attempt_completion(pair, attempt) + offset
+        else:
+            time += draw(st.floats(0.0, 3 * schedule.cycle_time))
+        ops.append((kind, time))
+    return schedule, config, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(supply_scripts())
+def test_service_matches_per_attempt_reference(script):
+    from repro.entanglement import EntanglementGenerator, EntanglementService
+
+    schedule, config, ops = script
+
+    def generator():
+        return EntanglementGenerator(schedule, config["psucc"],
+                                     seed=config["seed"])
+
+    service = EntanglementService(generator(), config["capacity"], kappa=0.01,
+                                  buffer_cutoff=config["cutoff"])
+    reference = _ReferenceSupply(generator(), config["capacity"],
+                                 config["cutoff"], service.swap_latency)
+    for kind, time in ops:
+        if kind == "advance":
+            service.advance_to(time)
+            reference.advance_to(time)
+        elif kind == "count":
+            assert service.count_available(time) == \
+                reference.count_available(time)
+        else:
+            ready, link = service.acquire(time)
+            ref_ready, ref_link = reference.acquire(time)
+            assert (ready, link.created_time, link.pair_index) == \
+                (ref_ready, ref_link.created_time, ref_link.pair_index)
+    service.finalize(ops[-1][1])
+    reference.advance_to(ops[-1][1])
+    reference.buffer.flush(ops[-1][1])
+    assert service.statistics.generated_total == reference.generated
+    assert service.statistics.consumed_direct == reference.direct
+    assert service.total_wasted == reference.buffer.statistics.wasted_total

@@ -546,6 +546,28 @@ class TestHealthzOperatorView:
 # ----------------------------------------------------------------------
 # tentpole glue: the daemon running every job on a worker fleet
 # ----------------------------------------------------------------------
+class TestKeepAlive:
+    def test_kept_alive_responses_do_not_wait_for_delayed_ack(self, daemon):
+        """Headers and body leave in one write, so ten requests on one
+        connection do not each stall ~40 ms on the client's delayed ACK."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        address = urlsplit(daemon.address)
+        connection = http.client.HTTPConnection(address.hostname,
+                                                address.port, timeout=10)
+        try:
+            started = time.monotonic()
+            for _ in range(10):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            assert time.monotonic() - started < 0.2
+        finally:
+            connection.close()
+
+
 class TestFleetService:
     def test_fleet_requires_single_scheduler_worker(self, tmp_path):
         with pytest.raises(ConfigurationError, match="concurrency 1"):
