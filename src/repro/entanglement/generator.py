@@ -42,9 +42,6 @@ __all__ = ["GenerationEvent", "EntanglementGenerator"]
 #: :data:`_MAX_BLOCK` so long simulations stay O(log) in RNG calls.
 _MIN_BLOCK = 128
 _MAX_BLOCK = 8192
-#: Span, in cycles, of the merged timeline's first horizon (it doubles on
-#: each growth); most runs end within a few dozen cycles.
-_FIRST_SPAN = 8
 #: Width, in cycles, of the window above a scan start inside which the
 #: grid-hit rule of :meth:`AttemptSchedule.attempt_index_completing_after`
 #: (a ``1e-9``-cycle tolerance) can drop a success; ten-fold margin.
@@ -275,8 +272,7 @@ class EntanglementGenerator:
         """
         origin = self.schedule.start_time
         horizon = max(threshold + self.schedule.cycle_time,
-                      origin + 2 * (self.horizon - origin),
-                      origin + _FIRST_SPAN * self.schedule.cycle_time)
+                      origin + 2 * (self.horizon - origin))
         batch = []
         for pair_index in range(self.schedule.num_pairs):
             self._ensure_time(pair_index, horizon)

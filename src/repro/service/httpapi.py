@@ -64,6 +64,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    # Headers and body are separate small writes; with Nagle's algorithm
+    # the body would wait for the client's delayed ACK (~40 ms per
+    # response on a kept-alive connection).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # plumbing
@@ -89,11 +93,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        # Headers and body leave in one write: a second small write on a
-        # kept-alive connection waits for the client's delayed ACK
-        # (~40 ms per response).
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+        self.end_headers()
+        self.wfile.write(body)
 
     def _read_json_body(self) -> Optional[Dict[str, Any]]:
         """The request body as a JSON object, or ``None`` after a 400."""

@@ -548,8 +548,8 @@ class TestHealthzOperatorView:
 # ----------------------------------------------------------------------
 class TestKeepAlive:
     def test_kept_alive_responses_do_not_wait_for_delayed_ack(self, daemon):
-        """Headers and body leave in one write, so ten requests on one
-        connection do not each stall ~40 ms on the client's delayed ACK."""
+        """Nagle's algorithm is off, so ten requests on one connection do
+        not each stall ~40 ms on the client's delayed ACK."""
         import http.client
         from urllib.parse import urlsplit
 
@@ -566,6 +566,24 @@ class TestKeepAlive:
             assert time.monotonic() - started < 0.2
         finally:
             connection.close()
+
+    def test_http09_request_gets_a_bare_body(self, daemon):
+        """A request line without a version is HTTP/0.9: no status line or
+        headers come back, just the body, then the connection closes."""
+        import socket
+        from urllib.parse import urlsplit
+
+        address = urlsplit(daemon.address)
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        assert json.loads(b"".join(chunks))["status"] == "ok"
 
 
 class TestFleetService:
