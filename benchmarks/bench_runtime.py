@@ -1,23 +1,17 @@
 """Runtime benchmark — execution cores and chunked process dispatch.
 
-Measures the wins of the post-legacy execution cores on a fig5-style sweep
+Measures the wins of the batched execution core on a fig5-style sweep
 (TLIM-32 + QAOA-r4-32, all six designs):
 
 * **executor core** — wall-clock of replaying the full grid through the
   legacy per-gate :class:`DesignExecutor` (``REPRO_EXEC=legacy``) versus
   the batched gate-stream replay, asserting the per-run results are
-  identical,
-* **vectorized kernel** — wall-clock of the batched per-seed replay versus
-  the cross-seed :class:`VectorizedExecutor` (``REPRO_EXEC=vector``) at a
-  large batch size (>= 64 seeds), where one 2-D numpy pass per gate stream
-  amortises the per-gate cost over the whole batch, and
+  identical, and
 * **dispatch granularity** — wall-clock of the serial backend versus the
   process-pool backend dispatching ``(cell, seed-chunk)`` batches.
 
 Acts as the CI perf-smoke gate: the run *fails* if the batched core is
-slower than the legacy core, if the vectorized core regresses against the
-batched core at the large batch size (beyond a shared-machine noise
-allowance), or if any result diverges.  Emits
+slower than the legacy core, or if any result diverges.  Emits
 ``BENCH_runtime.json`` next to the repository root so trajectory points can
 be archived and compared.
 """
@@ -105,42 +99,6 @@ def test_runtime_benchmark():
         legacy_total / batched_total if batched_total > 0 else float("inf")
     )
 
-    # --- vectorized kernel: batched vs cross-seed at a large batch -----
-    vector_runs = max(64, num_runs)
-    vector_seeds = list(range(1, vector_runs + 1))
-    for cell in all_cells:
-        cell.execute_batch(vector_seeds[:1], mode="vector")
-    vector_per_benchmark = {}
-    vector_batched_total = vector_total = 0.0
-    vector_identical = True
-    for benchmark, cells in cells_by_benchmark.items():
-        # Interleave the two cores within each repetition (rather than
-        # timing one core's repeats back to back) so a load spike on a
-        # shared machine biases both sides of the comparison equally.
-        batched_s = vector_s = float("inf")
-        batched_results = vector_results = None
-        for _ in range(_REPEATS):
-            start = time.perf_counter()
-            batched_results = [cell.execute_batch(vector_seeds, mode="batched")
-                               for cell in cells]
-            batched_s = min(batched_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            vector_results = [cell.execute_batch(vector_seeds, mode="vector")
-                              for cell in cells]
-            vector_s = min(vector_s, time.perf_counter() - start)
-        vector_identical = vector_identical and batched_results == vector_results
-        vector_batched_total += batched_s
-        vector_total += vector_s
-        vector_per_benchmark[benchmark] = {
-            "batched_s": batched_s,
-            "vector_s": vector_s,
-            "speedup": batched_s / vector_s if vector_s > 0 else float("inf"),
-        }
-    vector_speedup = (
-        vector_batched_total / vector_total if vector_total > 0
-        else float("inf")
-    )
-
     # --- dispatch: serial vs chunked process pool -----------------------
     tasks = [ExecutionTask(cell, seed) for cell in all_cells for seed in seeds]
     serial_backend = SerialBackend()
@@ -170,20 +128,6 @@ def test_runtime_benchmark():
             "identical_results": identical,
             "per_benchmark": per_benchmark,
         },
-        "vector": {
-            "num_runs": vector_runs,
-            "batched_s": vector_batched_total,
-            "vector_s": vector_total,
-            "speedup": vector_speedup,
-            "identical_results": vector_identical,
-            "per_benchmark": vector_per_benchmark,
-            # The 2-D state carried per gate-stream pass, per benchmark:
-            # (batch rows, qubit columns).
-            "kernel_dims": {
-                benchmark: [vector_runs, cells[0].program.num_qubits]
-                for benchmark, cells in cells_by_benchmark.items()
-            },
-        },
         "dispatch": {
             "serial_s": serial_s,
             "process_s": process_s,
@@ -203,9 +147,6 @@ def test_runtime_benchmark():
             f"legacy executor:  {legacy_total * 1e3:8.1f} ms",
             f"batched executor: {batched_total * 1e3:8.1f} ms "
             f"({executor_speedup:.2f}x, identical={identical})",
-            f"batched @ {vector_runs} seeds: {vector_batched_total * 1e3:8.1f} ms",
-            f"vector  @ {vector_runs} seeds: {vector_total * 1e3:8.1f} ms "
-            f"({vector_speedup:.2f}x, identical={vector_identical})",
             f"serial dispatch:  {serial_s * 1e3:8.1f} ms",
             f"process dispatch: {process_s * 1e3:8.1f} ms "
             f"({process_speedup:.2f}x, {workers} workers, "
@@ -216,18 +157,7 @@ def test_runtime_benchmark():
 
     # Perf-smoke gate: divergence or a core slowdown fails the run.
     assert identical, "batched executor diverged from the legacy reference"
-    assert vector_identical, "vectorized executor diverged from batched"
     assert backend_identical, "process backend diverged from serial"
     assert executor_speedup >= 1.0, (
         f"batched executor slower than legacy ({executor_speedup:.2f}x)"
-    )
-    # The vectorized kernel's measured advantage at this batch size is
-    # 1.1-1.7x on a quiet machine, but the shared entanglement processes
-    # bound it (Amdahl) well below the executor-core gap, so shared-CI
-    # load noise (±15%) could flip a hard >= 1.0 gate.  Gate with a noise
-    # allowance — a real kernel regression lands far below it — and keep
-    # the exact speedup in the JSON payload for trend tracking.
-    assert vector_speedup >= 0.85, (
-        f"vectorized executor regressed vs batched at {vector_runs} seeds "
-        f"({vector_speedup:.2f}x)"
     )

@@ -25,12 +25,12 @@ Once registered, the names work everywhere a built-in does:
 axes (``Axis("partition_method", [...])``), spec files, and the
 ``python -m repro`` CLI.
 
-The ``REPRO_EXEC`` knob (``execution_mode`` / ``BATCHED`` / ``VECTOR`` /
-``LEGACY``) selects between the three execution cores — all bit-identical
-per seed — ``REPRO_BACKEND`` picks the default execution backend, and
-``REPRO_CACHE_DIR`` (``default_cache`` / ``PersistentArtifactCache``)
-persists compile artifacts on disk for cross-process reuse; see
-``docs/architecture.md``.
+The ``REPRO_EXEC`` knob (``execution_mode`` / ``BATCHED`` / ``LEGACY``)
+selects between the batched production core and the legacy reference
+core — bit-identical per seed — ``REPRO_BACKEND`` picks the default
+execution backend, and ``REPRO_CACHE_DIR`` (``default_cache`` /
+``PersistentArtifactCache``) persists compile artifacts on disk for
+cross-process reuse; see ``docs/architecture.md``.
 """
 
 from repro.benchmarks.registry import (
@@ -77,7 +77,6 @@ from repro.runtime.execmode import (
     BATCHED,
     EXEC_ENV_VAR,
     LEGACY,
-    VECTOR,
     execution_mode,
 )
 from repro.fleet import (
@@ -132,7 +131,6 @@ __all__ = [
     # execution cores (REPRO_EXEC)
     "BATCHED",
     "LEGACY",
-    "VECTOR",
     "EXEC_ENV_VAR",
     "execution_mode",
     # compile caches (REPRO_CACHE_DIR)

@@ -11,8 +11,6 @@ The engine splits the simulation pipeline into two explicit stages:
   or across a process pool.  Backends dispatch ``(cell, seed-chunk)``
   batches to the trajectory-batched execution core
   (:class:`~repro.runtime.batched.BatchedExecutor`); set
-  ``REPRO_EXEC=vector`` for the cross-seed vectorized core
-  (:class:`~repro.runtime.vectorized.VectorizedExecutor`) or
   ``REPRO_EXEC=legacy`` for the reference
   :class:`~repro.runtime.executor.DesignExecutor`.
 

@@ -26,11 +26,10 @@ from repro.partitioning.assigner import DistributedProgram, distribute_circuit
 from repro.partitioning.registry import get_partitioner
 from repro.runtime.batched import BatchedExecutor
 from repro.runtime.designs import DesignSpec, get_design
-from repro.runtime.execmode import LEGACY, VECTOR, execution_mode
+from repro.runtime.execmode import LEGACY, execution_mode
 from repro.runtime.executor import DesignExecutor
 from repro.runtime.gatestream import CompiledStreams, lower_cell
 from repro.runtime.metrics import ExecutionResult
-from repro.runtime.vectorized import VectorizedExecutor
 from repro.scheduling.lookup import ScheduleLookupTable
 from repro.scheduling.policies import AdaptivePolicy
 
@@ -86,26 +85,14 @@ class CompiledCell:
             streams=self.streams,
         )
 
-    def vector_executor(self) -> VectorizedExecutor:
-        """Build a :class:`VectorizedExecutor` over this cell's gate streams."""
-        return VectorizedExecutor(
-            self.architecture,
-            self.design,
-            segment_length=self.segment_length,
-            adaptive_policy=self.adaptive_policy,
-            lookup=self.lookup,
-            streams=self.streams,
-        )
-
     def execute_batch(self, seeds: Sequence[int],
                       mode: Optional[str] = None) -> List[ExecutionResult]:
         """Replay the cell under a batch of seeds, in seed order.
 
         ``mode`` overrides the process-wide execution core
         (:func:`~repro.runtime.execmode.execution_mode`): ``"batched"``
-        replays the lowered gate streams once per seed, ``"vector"``
-        simulates the whole batch per gate-stream pass, ``"legacy"`` runs
-        the reference :class:`DesignExecutor` per seed.  All three produce
+        replays the lowered gate streams once per seed, ``"legacy"`` runs
+        the reference :class:`DesignExecutor` per seed.  Both produce
         identical results for identical seeds.
         """
         resolved = execution_mode(mode)
@@ -116,10 +103,6 @@ class CompiledCell:
                 )
                 for seed in seeds
             ]
-        if resolved == VECTOR:
-            return self.vector_executor().run_batch(
-                self.program, seeds, benchmark_name=self.benchmark
-            )
         return self.batched_executor().run_batch(
             self.program, seeds, benchmark_name=self.benchmark
         )

@@ -240,21 +240,6 @@ class EntanglementService:
         self.statistics.direct_consumed_age += age
         return ready, link
 
-    def acquire_record(self, after: float,
-                       kappa: Optional[float] = None,
-                       max_scan: float = 1e6) -> Tuple[float, float, float]:
-        """:meth:`acquire` flattened for batched (cross-seed) replay.
-
-        Returns ``(start_time, link_created_time, link_fidelity_at_start)``
-        — exactly the scalar fields the executors record per remote gate —
-        so callers that hold many services (one per seed) can consume links
-        without touching :class:`~repro.entanglement.link.EntanglementLink`
-        objects.  The variate stream drawn is identical to :meth:`acquire`.
-        """
-        start, link = self.acquire(after, max_scan=max_scan)
-        decay = self.kappa if kappa is None else kappa
-        return start, link.created_time, link.fidelity_at(start, decay)
-
     # ------------------------------------------------------------------
     # end-of-run accounting
     # ------------------------------------------------------------------

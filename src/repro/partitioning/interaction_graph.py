@@ -13,8 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import PartitionError
 
@@ -147,14 +145,6 @@ class InteractionGraph:
         for vertex in range(self.num_vertices):
             totals[assignment[vertex]] += self.vertex_weights[vertex]
         return dict(totals)
-
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a :class:`networkx.Graph` (for validation and plotting)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_vertices))
-        for (a, b), weight in self.weights.items():
-            graph.add_edge(a, b, weight=weight)
-        return graph
 
     def laplacian(self):
         """Weighted graph Laplacian as a dense :class:`numpy.ndarray`."""

@@ -1,44 +1,30 @@
-"""Discrete-event runtime: event kernel, resources, designs, executors.
+"""Runtime: resources, designs, executors.
 
-Three execution cores share the same stochastic processes and produce
-bit-identical results per seed: the legacy per-gate
-:class:`~repro.runtime.executor.DesignExecutor` (the reference, selectable
-via ``REPRO_EXEC=legacy``), the trajectory-batched
+Two execution cores share the same stochastic processes and produce
+bit-identical results per seed: the trajectory-batched
 :class:`~repro.runtime.batched.BatchedExecutor` replaying pre-lowered
-:mod:`~repro.runtime.gatestream` arrays per seed (the default), and the
-cross-seed :class:`~repro.runtime.vectorized.VectorizedExecutor`
-(``REPRO_EXEC=vector``) simulating the whole seed batch per gate-stream
-pass on 2-D numpy state.
+:mod:`~repro.runtime.gatestream` arrays per seed (the production core), and
+the legacy per-gate :class:`~repro.runtime.executor.DesignExecutor` (the
+reference, selectable via ``REPRO_EXEC=legacy``).
 """
 
 from repro.runtime.batched import BatchedExecutor, execute_batch
 from repro.runtime.designs import DESIGNS, DesignSpec, get_design, list_designs
-from repro.runtime.events import Event, EventQueue, SimulationClock
 from repro.runtime.execmode import (
     BATCHED,
     EXEC_ENV_VAR,
     LEGACY,
-    VECTOR,
     execution_mode,
 )
 from repro.runtime.executor import DesignExecutor, execute_design
 from repro.runtime.gatestream import CompiledStreams, GateStream, lower_cell
 from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
-from repro.runtime.resources import (
-    DataQubitTracker,
-    EntanglementDirectory,
-    EntanglementDirectoryBatch,
-)
+from repro.runtime.resources import DataQubitTracker, EntanglementDirectory
 from repro.runtime.trace import ExecutionTrace, GateTraceEntry
-from repro.runtime.vectorized import VectorizedExecutor, execute_vectorized
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "SimulationClock",
     "DataQubitTracker",
     "EntanglementDirectory",
-    "EntanglementDirectoryBatch",
     "DesignSpec",
     "DESIGNS",
     "get_design",
@@ -47,14 +33,11 @@ __all__ = [
     "execute_design",
     "BatchedExecutor",
     "execute_batch",
-    "VectorizedExecutor",
-    "execute_vectorized",
     "CompiledStreams",
     "GateStream",
     "lower_cell",
     "BATCHED",
     "LEGACY",
-    "VECTOR",
     "EXEC_ENV_VAR",
     "execution_mode",
     "ExecutionResult",

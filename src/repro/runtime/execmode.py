@@ -1,23 +1,20 @@
 """Execution-core selection.
 
-The engine ships three execution cores that produce bit-identical results
+The engine ships two execution cores that produce bit-identical results
 per seed:
 
 * ``"batched"`` (default) — :class:`~repro.runtime.batched.BatchedExecutor`
   replaying the compiler's array-backed gate streams for whole seed batches,
-* ``"vector"`` — :class:`~repro.runtime.vectorized.VectorizedExecutor`
-  simulating the whole seed batch per gate-stream pass with 2-D numpy
-  state (one row per seed), the fastest core on large batches,
+  the only production core,
 * ``"legacy"`` — the original per-gate
   :class:`~repro.runtime.executor.DesignExecutor`, kept as the reference
   implementation.
 
 The active core is chosen per process through the ``REPRO_EXEC`` environment
 variable, so any entry point (tests, benchmarks, the CLI, worker processes)
-can be flipped to another core without code changes::
+can be flipped to the reference core without code changes::
 
     REPRO_EXEC=legacy python -m repro run --benchmark TLIM-32
-    REPRO_EXEC=vector python -m repro run --benchmark TLIM-32 --runs 200
 """
 
 from __future__ import annotations
@@ -27,14 +24,13 @@ from typing import Optional
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["BATCHED", "LEGACY", "VECTOR", "EXEC_ENV_VAR", "execution_mode"]
+__all__ = ["BATCHED", "LEGACY", "EXEC_ENV_VAR", "execution_mode"]
 
 BATCHED = "batched"
 LEGACY = "legacy"
-VECTOR = "vector"
 EXEC_ENV_VAR = "REPRO_EXEC"
 
-_MODES = (BATCHED, LEGACY, VECTOR)
+_MODES = (BATCHED, LEGACY)
 
 
 def execution_mode(override: Optional[str] = None) -> str:

@@ -1,6 +1,6 @@
 """Execution-time resource tracking.
 
-Three trackers back the executors:
+Two trackers back the executors:
 
 * :class:`DataQubitTracker` — per-data-qubit availability and busy/idle
   accounting.  Data qubits within a node are fully connected (paper
@@ -8,18 +8,11 @@ Three trackers back the executors:
 * :class:`EntanglementDirectory` — one
   :class:`~repro.entanglement.service.EntanglementService` per connected node
   pair, created from the architecture and the design configuration.
-* :class:`EntanglementDirectoryBatch` — the seed-batch view used by the
-  vectorized execution core: one directory per seed, with batched query
-  methods (``acquire_batch``, ``count_available_batch``) over per-seed
-  times.  Each seed's services draw exactly the variate streams the scalar
-  cores draw for that seed, which is what keeps the vector core
-  bit-identical to the batched and legacy cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.entanglement.attempts import AttemptPolicy, AttemptSchedule
 from repro.entanglement.generator import EntanglementGenerator
@@ -30,7 +23,6 @@ from repro.exceptions import RuntimeSimulationError
 __all__ = [
     "DataQubitTracker",
     "EntanglementDirectory",
-    "EntanglementDirectoryBatch",
 ]
 
 NodePair = Tuple[int, int]
@@ -246,133 +238,3 @@ class EntanglementDirectory:
             totals["consumed_direct"] += service.statistics.consumed_direct
             totals["wasted"] += service.total_wasted
         return totals
-
-
-class EntanglementDirectoryBatch:
-    """Per-seed entanglement directories with batched queries.
-
-    The vectorized execution core
-    (:class:`~repro.runtime.vectorized.VectorizedExecutor`) keeps one 2-D
-    state row per seed but must consume *per-seed* stochastic entanglement:
-    generator streams are seeded per (base seed, node pair) and cannot be
-    merged across seeds without changing the variates.  This batch view
-    therefore fans out to one :class:`EntanglementDirectory` per seed and
-    exposes the executor-facing queries over the whole batch at once:
-    :meth:`acquire_batch` consumes one link per seed at per-seed ready
-    times, :meth:`count_available_batch` sums buffered-EPR counts over a
-    segment's node pairs at per-seed decision times.  Every underlying
-    service call is identical (same times, same order) to what the scalar
-    cores issue, so the drawn variate streams — and hence the results —
-    are bit-identical per seed.
-
-    Parameters mirror :class:`EntanglementDirectory` minus ``seed``
-    (``seeds`` is the batch) plus ``pair_list``, the compiled cell's global
-    remote node-pair table that gate streams index by ``pair_id``.
-    """
-
-    def __init__(
-        self,
-        architecture: DQCArchitecture,
-        seeds: Sequence[int],
-        pair_list: Sequence[NodePair],
-        attempt_policy: AttemptPolicy = AttemptPolicy.ASYNCHRONOUS,
-        use_buffer: bool = True,
-        prefill: bool = False,
-        buffer_cutoff: Optional[float] = None,
-        async_groups: Optional[int] = None,
-    ) -> None:
-        if not seeds:
-            raise RuntimeSimulationError("directory batch needs at least one seed")
-        self.architecture = architecture
-        self.seeds = list(seeds)
-        self.pair_list = tuple(pair_list)
-        self.kappa = architecture.decoherence_rate
-        self.directories = [
-            EntanglementDirectory(
-                architecture,
-                attempt_policy=attempt_policy,
-                use_buffer=use_buffer,
-                prefill=prefill,
-                buffer_cutoff=buffer_cutoff,
-                seed=seed,
-                async_groups=async_groups,
-            )
-            for seed in self.seeds
-        ]
-        # Per-seed flat service table indexed by pair id (lazy, like the
-        # scalar replay's local `services` list).
-        self._services: List[List[Optional[EntanglementService]]] = [
-            [None] * len(self.pair_list) for _ in self.seeds
-        ]
-
-    # ------------------------------------------------------------------
-    @property
-    def num_seeds(self) -> int:
-        return len(self.seeds)
-
-    def service(self, row: int, pair_id: int) -> EntanglementService:
-        """The (lazily created) service of seed-row ``row`` for ``pair_id``."""
-        service = self._services[row][pair_id]
-        if service is None:
-            pair = self.pair_list[pair_id]
-            service = self.directories[row].service(pair[0], pair[1])
-            self._services[row][pair_id] = service
-        return service
-
-    # ------------------------------------------------------------------
-    def acquire_batch(
-        self, pair_id: int, ready_times: Sequence[float],
-        rows: Optional[Sequence[int]] = None,
-    ) -> Tuple[List[float], List[float], List[float]]:
-        """Consume one link per seed at per-seed ready times.
-
-        ``ready_times[i]`` is the remote gate's ready time in seed-row
-        ``rows[i]`` (all rows when ``rows`` is ``None``).  Returns three
-        aligned lists — start times, link creation times, and link
-        fidelities at start — the per-gate fields the executor records.
-        """
-        if rows is None:
-            rows = range(len(self.directories))
-        starts: List[float] = []
-        created: List[float] = []
-        fidelities: List[float] = []
-        kappa = self.kappa
-        tables = self._services
-        for row, after in zip(rows, ready_times):
-            service = tables[row][pair_id]
-            if service is None:
-                service = self.service(row, pair_id)
-            start, created_time, fidelity = service.acquire_record(after, kappa)
-            starts.append(start)
-            created.append(created_time)
-            fidelities.append(fidelity)
-        return starts, created, fidelities
-
-    def count_available_batch(
-        self, node_pairs: Sequence[NodePair], times: Sequence[float],
-        rows: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Buffered EPR pairs summed over ``node_pairs``, per seed.
-
-        ``times[i]`` is the adaptive decision time of seed-row ``rows[i]``;
-        the sum iterates pairs in the given order, matching the scalar
-        cores' decision rule exactly.
-        """
-        if rows is None:
-            rows = range(len(self.directories))
-        return [
-            sum(self.directories[row].count_available(a, b, time)
-                for a, b in node_pairs)
-            for row, time in zip(rows, times)
-        ]
-
-    # ------------------------------------------------------------------
-    def finalize(self, times: Sequence[float]) -> None:
-        """Flush every seed's services at its own end-of-run makespan."""
-        for directory, time in zip(self.directories, times):
-            directory.finalize(time)
-
-    def aggregate_statistics(self) -> List[Dict[str, float]]:
-        """Per-seed aggregated EPR statistics, in seed order."""
-        return [directory.aggregate_statistics()
-                for directory in self.directories]

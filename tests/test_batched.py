@@ -82,6 +82,23 @@ def test_batched_equals_legacy_across_topologies(topology, partition_method):
                           cell.execute_batch(SEEDS, mode="batched"))
 
 
+def test_batched_adaptive_seeds_genuinely_diverge():
+    """The equivalence only means something if seeds pick different variants.
+
+    On the 4-node system the adaptive design's per-seed lookup decisions
+    differ, so the 12 seeds below do not all share one variant histogram.
+    """
+    system = SystemConfig(num_nodes=4, data_qubits_per_node=8,
+                          comm_qubits_per_node=8, buffer_qubits_per_node=8)
+    compiler = CellCompiler(system=system)
+    cell = compiler.compile("TLIM-32", "adapt_buf")
+    seeds = list(range(1, 13))
+    batched = cell.execute_batch(seeds, mode="batched")
+    histograms = {tuple(sorted(r.variant_histogram.items())) for r in batched}
+    assert len(histograms) > 1
+    _assert_identical(cell.execute_batch(seeds, mode="legacy"), batched)
+
+
 def test_batched_adaptive_uses_prebuilt_lookup():
     """The engine path hands the compile-time lookup to both cores."""
     compiler = CellCompiler(system=SystemConfig())
@@ -122,6 +139,15 @@ def test_batched_custom_segment_length_and_policy():
                             adaptive_policy=AdaptivePolicy(asap_threshold=2))
     _assert_identical(cell.execute_batch(SEEDS, mode="legacy"),
                       cell.execute_batch(SEEDS, mode="batched"))
+
+
+def test_empty_and_single_seed_batches():
+    compiler = CellCompiler(system=SystemConfig())
+    cell = compiler.compile("QAOA-r2-16", "sync_buf")
+    assert cell.execute_batch([], mode="batched") == []
+    assert cell.execute_batch([], mode="legacy") == []
+    _assert_identical(cell.execute_batch([7], mode="legacy"),
+                      cell.execute_batch([7], mode="batched"))
 
 
 def test_ideal_batch_results_are_independent_objects():
@@ -191,6 +217,10 @@ def test_execution_mode_resolution(monkeypatch):
     assert execution_mode("batched") == BATCHED  # override wins
     monkeypatch.setenv(EXEC_ENV_VAR, "warp-drive")
     with pytest.raises(ConfigurationError):
+        execution_mode()
+    # "vector" named a deleted core; the error must list the real ones.
+    monkeypatch.setenv(EXEC_ENV_VAR, "vector")
+    with pytest.raises(ConfigurationError, match="available: batched, legacy"):
         execution_mode()
 
 

@@ -58,3 +58,13 @@ class TestOtherGraphs:
 
     def test_is_regular_rejects_wrong_degree(self):
         assert not is_regular(ring_graph(6), 6, 3)
+
+    def test_is_regular_rejects_out_of_range_node(self):
+        # Node 6 is outside range(6); the degree counts would otherwise match.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)]
+        assert not is_regular(edges, 6, 2)
+        assert not is_regular([(0, -1), (-1, 0)], 2, 1)
+
+    def test_is_regular_rejects_self_loops_and_repeated_edges(self):
+        assert not is_regular([(0, 0), (1, 1)], 2, 2)
+        assert not is_regular([(0, 1), (1, 0)], 2, 1)

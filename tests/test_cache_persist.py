@@ -232,7 +232,6 @@ class TestCrossProcessCompileReuse:
         revived = CellCompiler(system=system, cache_dir=tmp_path).compile(
             "QAOA-r2-16", "adapt_buf")
         assert revived.execute_batch(seeds, mode="batched") == expected
-        assert revived.execute_batch(seeds, mode="vector") == expected
 
     def test_cli_second_run_hits_everything(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

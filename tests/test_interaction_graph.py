@@ -64,12 +64,6 @@ class TestQueries:
         assignment = {0: 0, 1: 0, 2: 1, 3: 1}
         assert graph.block_weights(assignment) == {0: 2.0, 1: 2.0}
 
-    def test_to_networkx(self):
-        graph = InteractionGraph.from_edges(5, [(0, 1), (2, 3)])
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 5
-        assert nx_graph.number_of_edges() == 2
-
     def test_laplacian_row_sums_zero(self):
         circuit = tlim_circuit(6, num_steps=1)
         graph = InteractionGraph.from_circuit(circuit)

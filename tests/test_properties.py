@@ -15,7 +15,7 @@ from repro.circuits.transforms import (
 from repro.entanglement import AttemptPolicy, AttemptSchedule, werner_fidelity_after
 from repro.noise import depolarizing_kraus, validate_kraus
 from repro.partitioning import InteractionGraph, Partition, fm_refine, kl_refine
-from repro.runtime import DataQubitTracker, EventQueue
+from repro.runtime import DataQubitTracker
 from repro.analysis import summarize
 
 
@@ -179,16 +179,6 @@ def test_depolarizing_channels_trace_preserving(probability, qubits):
 # ---------------------------------------------------------------------------
 # runtime invariants
 # ---------------------------------------------------------------------------
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=30))
-def test_event_queue_pops_in_order(times):
-    queue = EventQueue()
-    for t in times:
-        queue.schedule(t, "tick")
-    popped = [queue.pop().time for _ in range(len(times))]
-    assert popped == sorted(popped)
-
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=25))

@@ -1,4 +1,4 @@
-"""Unit tests for the event kernel, resource trackers, designs, and metrics."""
+"""Unit tests for the resource trackers, designs, and metrics."""
 
 import pytest
 
@@ -7,11 +7,8 @@ from repro.runtime import (
     DataQubitTracker,
     DesignSpec,
     EntanglementDirectory,
-    Event,
-    EventQueue,
     ExecutionTrace,
     GateTraceEntry,
-    SimulationClock,
     get_design,
     list_designs,
 )
@@ -19,42 +16,6 @@ from repro.runtime.designs import DESIGN_ORDER
 from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
 from repro.noise.fidelity import FidelityBreakdown
 from repro.exceptions import ConfigurationError, RuntimeSimulationError
-
-
-class TestEventKernel:
-    def test_clock_advances_monotonically(self):
-        clock = SimulationClock()
-        clock.advance_to(5.0)
-        clock.advance_by(2.0)
-        assert clock.now == pytest.approx(7.0)
-        with pytest.raises(RuntimeSimulationError):
-            clock.advance_to(3.0)
-        with pytest.raises(RuntimeSimulationError):
-            clock.advance_by(-1.0)
-
-    def test_queue_orders_by_time_then_insertion(self):
-        queue = EventQueue()
-        queue.schedule(5.0, "b")
-        queue.schedule(1.0, "a")
-        queue.schedule(5.0, "c")
-        kinds = [queue.pop().kind for _ in range(3)]
-        assert kinds == ["a", "b", "c"]
-
-    def test_pop_until(self):
-        queue = EventQueue()
-        for t in (1.0, 2.0, 3.0, 10.0):
-            queue.schedule(t, "tick")
-        drained = list(queue.pop_until(3.0))
-        assert len(drained) == 3
-        assert len(queue) == 1
-
-    def test_peek_and_empty(self):
-        queue = EventQueue()
-        assert queue.is_empty() and queue.peek() is None
-        queue.push(Event(2.0, "x"))
-        assert queue.peek().time == 2.0
-        with pytest.raises(RuntimeSimulationError):
-            EventQueue().pop()
 
 
 class TestDataQubitTracker:
