@@ -141,11 +141,16 @@ def test_batched_custom_segment_length_and_policy():
                       cell.execute_batch(SEEDS, mode="batched"))
 
 
-def test_empty_and_single_seed_batches():
+def test_batched_empty_seed_batch():
     compiler = CellCompiler(system=SystemConfig())
-    cell = compiler.compile("QAOA-r2-16", "sync_buf")
+    cell = compiler.compile("TLIM-16", "original")
     assert cell.execute_batch([], mode="batched") == []
     assert cell.execute_batch([], mode="legacy") == []
+
+
+def test_batched_single_seed():
+    compiler = CellCompiler(system=SystemConfig())
+    cell = compiler.compile("QAOA-r2-16", "sync_buf")
     _assert_identical(cell.execute_batch([7], mode="legacy"),
                       cell.execute_batch([7], mode="batched"))
 
@@ -218,10 +223,15 @@ def test_execution_mode_resolution(monkeypatch):
     monkeypatch.setenv(EXEC_ENV_VAR, "warp-drive")
     with pytest.raises(ConfigurationError):
         execution_mode()
+
+
+def test_execution_mode_env_rejects_vector(monkeypatch):
     # "vector" named a deleted core; the error must list the real ones.
     monkeypatch.setenv(EXEC_ENV_VAR, "vector")
     with pytest.raises(ConfigurationError, match="available: batched, legacy"):
         execution_mode()
+    with pytest.raises(ConfigurationError, match="available: batched, legacy"):
+        execution_mode("vector")
 
 
 def test_repro_exec_env_selects_legacy(monkeypatch):
