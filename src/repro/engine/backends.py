@@ -24,11 +24,20 @@ artifacts — gate streams, lookup tables, static counts — are shared across
 a whole chunk of seeds instead of being re-entered (and, for the process
 pool, re-pickled) once per run.  Process workers are persistent and inherit
 the compiled cells of the first batch through the pool initializer; chunks
-then travel as ``(cache_key, seeds)`` pairs, a few bytes each.
+then travel as ``(cache_key, seeds, batch)`` triples, a few bytes each.
+
+Each :meth:`~ExecutionBackend.execute` call also owns one entanglement
+:data:`~repro.runtime.resources.TimelinePool`: every run of the call with
+the same seed and attempt schedule replays one shared success timeline
+instead of drawing its own.  The pool dies with the call (a process worker
+keeps the pool of its current ``batch`` token and drops it when the next
+call's token arrives), so a long-lived daemon holds no timelines between
+jobs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from abc import ABC, abstractmethod
@@ -39,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.engine.compiler import CompiledCell
 from repro.exceptions import ConfigurationError
 from repro.runtime.metrics import ExecutionResult
+from repro.runtime.resources import TimelinePool
 
 __all__ = [
     "ExecutionTask",
@@ -156,11 +166,25 @@ class ExecutionBackend(ABC):
         self.close()
 
 
+def _execute_inline(chunks: List[Tuple[CompiledCell, List[int]]],
+                    sink: Optional[ResultSink]) -> List[ExecutionResult]:
+    """Replay chunks in order on the calling thread through one pool."""
+    timelines: TimelinePool = {}
+    results: List[ExecutionResult] = []
+    for cell, seeds in chunks:
+        batch = cell.execute_batch(seeds, timelines=timelines)
+        if sink is not None:
+            sink(len(results), batch)
+        results.extend(batch)
+    return results
+
+
 class SerialBackend(ExecutionBackend):
     """Run every task in order on the calling thread (the reference).
 
     Consecutive same-cell tasks are replayed as one seed batch so the
-    per-cell replay state (gate-stream columns, lookup resets) is shared.
+    per-cell replay state (gate-stream columns, lookup resets) is shared,
+    and every batch of one call shares one entanglement timeline pool.
     """
 
     name = "serial"
@@ -174,13 +198,8 @@ class SerialBackend(ExecutionBackend):
         hint = _sink_chunk_hint(sink)
         if hint is not None:
             chunk_size = min(chunk_size, hint)
-        results: List[ExecutionResult] = []
-        for cell, seeds in chunk_tasks(tasks, chunk_size=chunk_size):
-            batch = cell.execute_batch(seeds)
-            if sink is not None:
-                sink(len(results), batch)
-            results.extend(batch)
-        return results
+        return _execute_inline(chunk_tasks(tasks, chunk_size=chunk_size),
+                               sink)
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +207,13 @@ class SerialBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 
 #: Worker-side compiled-cell registry, keyed by cell fingerprint; seeded by
-#: the pool initializer so chunks travel as ``(cache_key, seeds)`` pairs.
+#: the pool initializer so chunks travel as ``(cache_key, seeds, batch)``.
 _WORKER_CELLS: Dict[str, CompiledCell] = {}
+#: Worker-side timeline pool of the current ``execute`` call, keyed by its
+#: batch token; at most one entry.
+_WORKER_TIMELINES: Dict[int, TimelinePool] = {}
+#: Driver-side source of per-``execute`` batch tokens.
+_BATCH_TOKENS = itertools.count()
 
 
 def _init_worker(cells: Dict[str, CompiledCell]) -> None:
@@ -198,17 +222,25 @@ def _init_worker(cells: Dict[str, CompiledCell]) -> None:
 
 
 def _run_seed_chunk(
-    payload: Tuple[str, Tuple[int, ...]],
+    payload: Tuple[str, Tuple[int, ...], int],
 ) -> List[ExecutionResult]:
-    """Replay one ``(cell, seed-chunk)`` batch inside a worker process."""
-    key, seeds = payload
+    """Replay one ``(cell, seed-chunk)`` batch inside a worker process.
+
+    Chunks of one ``execute`` call share the worker's timeline pool; the
+    first chunk of a new call drops the previous call's pool.
+    """
+    key, seeds, batch = payload
     cell = _WORKER_CELLS.get(key)
     if cell is None:  # pragma: no cover - _ensure_pool keeps workers covered
         raise ConfigurationError(
             f"worker has no compiled cell for key {key[:12]}…; "
             f"the pool initializer did not cover this batch"
         )
-    return cell.execute_batch(list(seeds))
+    timelines = _WORKER_TIMELINES.get(batch)
+    if timelines is None:
+        _WORKER_TIMELINES.clear()
+        timelines = _WORKER_TIMELINES[batch] = {}
+    return cell.execute_batch(list(seeds), timelines=timelines)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -228,10 +260,12 @@ class ProcessPoolBackend(ExecutionBackend):
     The pool is created lazily on the first :meth:`execute` call and reused
     until :meth:`close`, so sweeps pay the worker start-up cost once.
     Workers inherit every compiled cell through the pool initializer and
-    chunks then travel as ``(cache_key, seeds)`` pairs; when a later call
-    brings cells the current pool has never seen, the pool is rebuilt once
-    with the accumulated cell set (workers restart, but cells are pickled
-    once per worker instead of once per chunk forever).
+    chunks then travel as ``(cache_key, seeds, batch)`` triples; when a
+    later call brings cells the current pool has never seen, the pool is
+    rebuilt once with the accumulated cell set (workers restart, but cells
+    are pickled once per worker instead of once per chunk forever).  Every
+    chunk of one call carries that call's ``batch`` token, so a worker
+    shares entanglement timelines across the chunks it runs for the call.
 
     A one-worker pool is pure overhead — serial execution plus pickling —
     which is exactly the ``BENCH_engine.json`` regression (0.89x vs serial).
@@ -299,19 +333,15 @@ class ProcessPoolBackend(ExecutionBackend):
             chunk_size = min(chunk_size, hint)
         chunks = chunk_tasks(tasks, chunk_size)
         if self._workers() == 1:
-            results: List[ExecutionResult] = []
-            for cell, seeds in chunks:
-                batch = cell.execute_batch(seeds)
-                if sink is not None:
-                    sink(len(results), batch)
-                results.extend(batch)
-            return results
+            return _execute_inline(chunks, sink)
         cells = {chunk[0].cache_key: chunk[0] for chunk in chunks}
         pool = self._ensure_pool(cells)
+        token = next(_BATCH_TOKENS)
         start_of: Dict[object, int] = {}
         offset = 0
         for cell, seeds in chunks:
-            future = pool.submit(_run_seed_chunk, (cell.cache_key, tuple(seeds)))
+            future = pool.submit(_run_seed_chunk,
+                                 (cell.cache_key, tuple(seeds), token))
             start_of[future] = offset
             offset += len(seeds)
         # Collect in completion order so the sink observes (and can persist)

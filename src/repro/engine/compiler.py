@@ -30,6 +30,7 @@ from repro.runtime.execmode import LEGACY, execution_mode
 from repro.runtime.executor import DesignExecutor
 from repro.runtime.gatestream import CompiledStreams, lower_cell
 from repro.runtime.metrics import ExecutionResult
+from repro.runtime.resources import TimelinePool
 from repro.scheduling.lookup import ScheduleLookupTable
 from repro.scheduling.policies import AdaptivePolicy
 
@@ -86,14 +87,19 @@ class CompiledCell:
         )
 
     def execute_batch(self, seeds: Sequence[int],
-                      mode: Optional[str] = None) -> List[ExecutionResult]:
+                      mode: Optional[str] = None,
+                      timelines: Optional[TimelinePool] = None,
+                      ) -> List[ExecutionResult]:
         """Replay the cell under a batch of seeds, in seed order.
 
         ``mode`` overrides the process-wide execution core
         (:func:`~repro.runtime.execmode.execution_mode`): ``"batched"``
         replays the lowered gate streams once per seed, ``"legacy"`` runs
         the reference :class:`DesignExecutor` per seed.  Both produce
-        identical results for identical seeds.
+        identical results for identical seeds.  ``timelines`` is a
+        backend's per-batch entanglement timeline pool, which the batched
+        core shares across cells; the legacy core, the oracle for that
+        sharing, ignores it and builds fresh generators.
         """
         resolved = execution_mode(mode)
         if resolved == LEGACY:
@@ -104,7 +110,8 @@ class CompiledCell:
                 for seed in seeds
             ]
         return self.batched_executor().run_batch(
-            self.program, seeds, benchmark_name=self.benchmark
+            self.program, seeds, benchmark_name=self.benchmark,
+            timelines=timelines,
         )
 
     def execute(self, seed: int = 0, collect_trace: bool = False,

@@ -3,9 +3,9 @@
 Combines an :class:`~repro.entanglement.attempts.AttemptSchedule` with a
 Bernoulli success model: every attempt of every communication-qubit pair
 succeeds independently with probability ``psucc`` (0.4 in the paper's
-evaluation).  The generator exposes the successes of each pair as a lazy,
-reproducible stream so the runtime can pull exactly as much of the future as
-it needs.
+evaluation).  The generator exposes the successes of all pairs as one lazy,
+reproducible timeline so the runtime can pull exactly as much of the future
+as it needs.
 
 Outcomes are drawn from the per-pair PRNG in *vectorized blocks* (a single
 ``Generator.random(n)`` call covers ``n`` attempts) rather than one Python
@@ -13,21 +13,33 @@ call per attempt.  NumPy draws the identical variate sequence whether
 ``random()`` is called ``n`` times or once with ``size=n``, so block
 sampling is bit-identical to the historical per-attempt draws — this is
 what lets the batched executor and the legacy reference executor share one
-stochastic process.  Per-pair success times are kept as sorted lists.
+stochastic process.  All pairs draw in lockstep into one boolean
+``(pair, attempt)`` array.
 
-The successes of all pairs also form one merged *timeline*: parallel lists
-``times``/``pairs``/``attempts`` sorted by ``(time, pair)`` and grown in
-doubling time horizons.  The entanglement service walks it with a cursor,
-so an advance is a bisection plus a slice, not a scan over every pair.
-Scans keep the historical grid-hit rule: a pair's scan from ``start``
-begins at :meth:`AttemptSchedule.attempt_index_completing_after`, which
-skips a completion within ``1e-9`` cycles above ``start``
+The successes of all pairs form one merged *timeline*: compact parallel
+arrays ``times``/``pairs``/``attempts`` (``array('d')``/``array('h')``/
+``array('i')``) sorted by ``(time, pair)`` and grown in doubling time
+horizons.  Each growth reads the new successes of all pairs off the
+outcome array at once and merges them with one ``np.lexsort``.  The
+entanglement service walks the timeline with a cursor, so an advance is a
+bisection plus a slice, not a scan over every pair.  Scans keep the
+historical grid-hit rule: a pair's scan from ``start`` begins at
+:meth:`AttemptSchedule.attempt_index_completing_after`, which skips a
+completion within ``1e-9`` cycles above ``start``
 (:meth:`EntanglementGenerator.grid_skips`).
+
+The timeline is a pure function of ``(schedule, psucc, seed)`` whatever
+order it grows in, and it only ever grows.  So one generator serves every
+run of a backend batch with those inputs: each
+:class:`~repro.entanglement.service.EntanglementService` keeps its own
+cursor, delivered set and buffer, and reads the shared timeline (see
+:data:`repro.runtime.resources.TimelinePool`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -46,6 +58,8 @@ _MAX_BLOCK = 8192
 #: grid-hit rule of :meth:`AttemptSchedule.attempt_index_completing_after`
 #: (a ``1e-9``-cycle tolerance) can drop a success; ten-fold margin.
 _GRID_WINDOW = 1e-8
+#: Pair indices are stored as C shorts (``array('h')``).
+_MAX_PAIRS = np.iinfo(np.short).max + 1
 
 
 @dataclass(frozen=True)
@@ -83,29 +97,36 @@ class EntanglementGenerator:
                  seed: int = 0) -> None:
         if not (0.0 < success_probability <= 1.0):
             raise EntanglementError("success probability must be in (0, 1]")
+        if schedule.num_pairs > _MAX_PAIRS:
+            raise EntanglementError(
+                f"at most {_MAX_PAIRS} pairs per generator, "
+                f"got {schedule.num_pairs}"
+            )
         self.schedule = schedule
         self.success_probability = success_probability
         self.seed = seed
-        # Per-pair sampled state, indexed by pair: number of attempts drawn
-        # so far, the raw outcome blocks, and the sorted success times /
-        # attempt indices.  (A pair-less schedule still allocates one slot
-        # so out-of-range errors surface through the schedule's own checks.)
+        # Sampled state: one PRNG per pair and the outcome of every attempt
+        # drawn so far, ``_outcomes[pair, attempt]``; every pair has drawn
+        # the same number of attempts.  Attempts below ``_merged`` are in
+        # the timeline for every pair.  (A pair-less schedule still
+        # allocates one slot so out-of-range errors surface through the
+        # schedule's own checks.)
         slots = max(1, schedule.num_pairs)
         self._rngs: List[Optional[np.random.Generator]] = [None] * slots
-        self._drawn: List[int] = [0] * slots
-        self._outcomes: List[List[np.ndarray]] = [[] for _ in range(slots)]
-        self._success_times: List[List[float]] = [[] for _ in range(slots)]
-        self._success_attempts: List[List[int]] = [[] for _ in range(slots)]
+        self._outcomes = np.zeros((slots, 0), dtype=bool)
+        self._merged = 0
         self._first_completion = [schedule.first_completion(pair_index)
                                   for pair_index in range(slots)]
+        first = np.array(self._first_completion)
+        self._first_column = first[:, None]
+        self._earliest = float(first.min())
+        self._latest = int(first.argmax())
         # The merged timeline: every success of every pair completing at
-        # or before ``horizon``, sorted by (time, pair); ``_merged`` counts
-        # each pair's successes already in it.
-        self.times: List[float] = []
-        self.pairs: List[int] = []
-        self.attempts: List[int] = []
+        # or before ``horizon``, sorted by (time, pair).
+        self.times = array("d")
+        self.pairs = array("h")
+        self.attempts = array("i")
         self.horizon = float("-inf")
-        self._merged: List[int] = [0] * slots
         self._grid_window = _GRID_WINDOW * schedule.cycle_time
 
     # ------------------------------------------------------------------
@@ -138,44 +159,36 @@ class EntanglementGenerator:
     # ------------------------------------------------------------------
     # bulk sampling
     # ------------------------------------------------------------------
-    def _extend(self, pair_index: int) -> None:
-        """Draw the next vectorized outcome block of one pair.
+    def _extend(self) -> None:
+        """Draw the next vectorized outcome block of every pair.
 
         One ``Generator.random(block)`` call consumes exactly the same
         variates as ``block`` scalar draws, so outcomes per attempt index
         are bit-identical to the per-attempt sampling this replaces.
-        Successful attempts are appended to the pair's sorted success-time
-        arrays (``completion = first + k * cycle``, the same float
-        arithmetic as :meth:`AttemptSchedule.attempt_completion`; IEEE-754
-        makes each array element equal the scalar result bit for bit).
         """
-        drawn = self._drawn[pair_index]
-        block = min(_MAX_BLOCK, max(_MIN_BLOCK, drawn))
-        outcomes = self._rng_for(pair_index).random(block) < self.success_probability
-        self._outcomes[pair_index].append(outcomes)
-        successes = np.nonzero(outcomes)[0]
-        if successes.size:
-            attempts = successes + drawn
-            times = (self._first_completion[pair_index]
-                     + attempts * self.schedule.cycle_time)
-            self._success_times[pair_index].extend(times.tolist())
-            self._success_attempts[pair_index].extend(attempts.tolist())
-        self._drawn[pair_index] = drawn + block
+        block = min(_MAX_BLOCK, max(_MIN_BLOCK, self._outcomes.shape[1]))
+        fresh = np.stack([self._rng_for(pair_index).random(block)
+                          for pair_index in range(len(self._rngs))])
+        self._outcomes = np.concatenate(
+            (self._outcomes, fresh < self.success_probability), axis=1)
 
-    def _ensure_attempts(self, pair_index: int, count: int) -> None:
-        """Materialise at least ``count`` attempt outcomes for one pair."""
-        while self._drawn[pair_index] < count:
-            self._extend(pair_index)
+    def _ensure_attempts(self, count: int) -> None:
+        """Materialise at least ``count`` attempt outcomes of every pair."""
+        while self._outcomes.shape[1] < count:
+            self._extend()
 
-    def _ensure_time(self, pair_index: int, time: float) -> None:
-        """Materialise every attempt completing at or before ``time``."""
-        first = self._first_completion[pair_index]
+    def _ensure_time(self, time: float) -> None:
+        """Materialise every attempt completing at or before ``time``.
+
+        The pair with the earliest first completion needs the most
+        attempts to get there.
+        """
         cycle = self.schedule.cycle_time
         threshold = time + 1e-12
-        drawn = self._drawn[pair_index]
-        while drawn == 0 or first + (drawn - 1) * cycle <= threshold:
-            self._extend(pair_index)
-            drawn = self._drawn[pair_index]
+        drawn = self._outcomes.shape[1]
+        while drawn == 0 or self._earliest + (drawn - 1) * cycle <= threshold:
+            self._extend()
+            drawn = self._outcomes.shape[1]
 
     def _check_pair(self, pair_index: int) -> None:
         if not (0 <= pair_index < max(1, self.schedule.num_pairs)):
@@ -189,74 +202,8 @@ class EntanglementGenerator:
         if attempt_index < 0:
             raise EntanglementError("attempt index must be non-negative")
         self._check_pair(pair_index)
-        self._ensure_attempts(pair_index, attempt_index + 1)
-        offset = attempt_index
-        for block in self._outcomes[pair_index]:
-            if offset < block.size:
-                return bool(block[offset])
-            offset -= block.size
-        raise EntanglementError(  # pragma: no cover - unreachable by design
-            f"attempt {attempt_index} of pair {pair_index} not materialised"
-        )
-
-    # ------------------------------------------------------------------
-    def successes_between(self, pair_index: int, start: float,
-                          end: float) -> List[GenerationEvent]:
-        """Successful attempts of one pair completing in ``(start, end]``.
-
-        The interval boundaries replicate the historical per-attempt scan
-        exactly: the scan starts at
-        :meth:`AttemptSchedule.attempt_index_completing_after` (whose
-        grid-hit tolerance can skip a completion within ``1e-9`` of
-        ``start``) and keeps completions ``> start + 1e-12`` and
-        ``<= end + 1e-12``.
-        """
-        self._check_pair(pair_index)
-        if end < start:
-            return []
-        self._ensure_time(pair_index, end)
-        first_attempt = self._attempt_after(pair_index, start)
-        times = self._success_times[pair_index]
-        attempts = self._success_attempts[pair_index]
-        lo = bisect_left(attempts, first_attempt)
-        start_bound = bisect_right(times, start + 1e-12)
-        if start_bound > lo:
-            lo = start_bound
-        hi = bisect_right(times, end + 1e-12)
-        if hi <= lo:
-            return []
-        return [
-            GenerationEvent(times[i], pair_index, attempts[i])
-            for i in range(lo, hi)
-        ]
-
-    def first_success_after(self, pair_index: int, time: float,
-                            max_attempts: int = 100000) -> GenerationEvent:
-        """First successful attempt of a pair completing strictly after ``time``.
-
-        Only the ``max_attempts`` attempts following the scan start are
-        considered (block sampling may have drawn further ahead, but a
-        success beyond the window still raises, preserving the historical
-        timeout contract).
-        """
-        self._check_pair(pair_index)
-        first_attempt = self._attempt_after(pair_index, time)
-        limit = first_attempt + max_attempts
-        threshold = time + 1e-12
-        while True:
-            times = self._success_times[pair_index]
-            attempts = self._success_attempts[pair_index]
-            lo = bisect_left(attempts, first_attempt)
-            lo = max(lo, bisect_right(times, threshold))
-            if lo < len(times):
-                if attempts[lo] < limit:
-                    return GenerationEvent(times[lo], pair_index, attempts[lo])
-            elif self._drawn[pair_index] < limit:
-                self._extend(pair_index)
-                continue
-            raise EntanglementError(
-                f"no success within {max_attempts} attempts (psucc too small?)"
-            )
+        self._ensure_attempts(attempt_index + 1)
+        return bool(self._outcomes[pair_index, attempt_index])
 
     # ------------------------------------------------------------------
     # merged success timeline
@@ -265,29 +212,37 @@ class EntanglementGenerator:
         """Grow the timeline until its horizon lies beyond ``threshold``.
 
         The horizon's span past the schedule start at least doubles, so a
-        run costs O(log) growths.  Each pair draws through the same
-        outcome blocks as the per-pair queries, and the successes in
-        ``(old horizon, new horizon]`` are appended in ``(time, pair)``
-        order, which keeps the whole timeline sorted.
+        run costs O(log) growths.  The successes in ``(old horizon, new
+        horizon]`` are read off the outcome array past the merged attempts
+        (``completion = first + k * cycle``, the same float arithmetic as
+        :meth:`AttemptSchedule.attempt_completion`; IEEE-754 makes each
+        array element equal the scalar result bit for bit), then sorted by
+        ``(time, pair)`` and appended, which keeps the whole timeline
+        sorted.
         """
         origin = self.schedule.start_time
-        horizon = max(threshold + self.schedule.cycle_time,
+        cycle = self.schedule.cycle_time
+        horizon = max(threshold + cycle,
                       origin + 2 * (self.horizon - origin))
-        batch = []
-        for pair_index in range(self.schedule.num_pairs):
-            self._ensure_time(pair_index, horizon)
-            times = self._success_times[pair_index]
-            lo = self._merged[pair_index]
-            hi = bisect_right(times, horizon, lo)
-            batch.extend(zip(times[lo:hi], [pair_index] * (hi - lo),
-                             self._success_attempts[pair_index][lo:hi]))
-            self._merged[pair_index] = hi
-        if batch:
-            batch.sort()
-            times, pairs, attempts = zip(*batch)
-            self.times.extend(times)
-            self.pairs.extend(pairs)
-            self.attempts.extend(attempts)
+        num_pairs = self.schedule.num_pairs
+        if num_pairs:
+            self._ensure_time(horizon)
+            merged = self._merged
+            attempts = np.arange(merged, self._outcomes.shape[1])
+            completions = self._first_column + attempts * cycle
+            pairs, columns = np.nonzero(
+                self._outcomes[:, merged:]
+                & (completions > self.horizon) & (completions <= horizon))
+            times = completions[pairs, columns]
+            order = np.lexsort((pairs, times))
+            self.times.frombytes(times[order].tobytes())
+            self.pairs.frombytes(pairs[order].astype(np.short).tobytes())
+            self.attempts.frombytes(
+                attempts[columns[order]].astype(np.intc).tobytes())
+            # The pair completing last settles how many attempts every
+            # pair has merged.
+            self._merged = merged + int(np.searchsorted(
+                completions[self._latest], horizon, side="right"))
         self.horizon = horizon
 
     def timeline_index(self, threshold: float) -> int:
@@ -317,8 +272,10 @@ class EntanglementGenerator:
     def merged_successes_between(self, start: float, end: float) -> List[GenerationEvent]:
         """Successes of *all* pairs in ``(start, end]``, in ``(time, pair)`` order.
 
-        A slice of the merged timeline with the boundary semantics of
-        :meth:`successes_between`.
+        A slice of the merged timeline with the boundary semantics of the
+        historical per-attempt scan: each pair's scan starts at
+        :meth:`AttemptSchedule.attempt_index_completing_after` and keeps
+        completions ``> start + 1e-12`` and ``<= end + 1e-12``.
         """
         if end < start:
             return []

@@ -54,6 +54,8 @@ class EntanglementService:
     ----------
     generator:
         Stochastic success process over the attempt schedule (sync/async).
+        Other runs may share it: the service only reads and grows its
+        timeline and keeps every per-run position to itself.
     buffer_capacity:
         Number of links storable between the node pair (0 = no buffer).
     kappa:

@@ -5,8 +5,10 @@ replays a pre-lowered :class:`~repro.runtime.gatestream.CompiledStreams`
 for a whole batch of seeds in one pass, sharing every per-cell artifact
 (gate arrays, static gate counts, segment metadata, the schedule lookup
 table) across the batch.  Only the entanglement process is stochastic, so
-the per-seed replay touches plain floats and the vectorized entanglement
-services — never ``Gate`` objects, latency tables, or circuit walks.
+the per-seed replay touches plain floats and the entanglement services —
+never ``Gate`` objects, latency tables, or circuit walks.  Given a
+backend's timeline pool, runs of every cell with the same seed and attempt
+schedule read one shared success timeline.
 
 Results are **bit-identical** to the legacy
 :class:`~repro.runtime.executor.DesignExecutor` for the same seed: both
@@ -40,7 +42,7 @@ from repro.runtime.gatestream import (
     lower_cell,
 )
 from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
-from repro.runtime.resources import EntanglementDirectory
+from repro.runtime.resources import EntanglementDirectory, TimelinePool
 from repro.scheduling.lookup import ScheduleLookupTable
 from repro.scheduling.policies import AdaptivePolicy
 from repro.scheduling.variants import SchedulingVariant
@@ -83,8 +85,14 @@ class BatchedExecutor:
 
     # ------------------------------------------------------------------
     def run_batch(self, program: DistributedProgram, seeds: Sequence[int],
-                  benchmark_name: Optional[str] = None) -> List[ExecutionResult]:
-        """Replay the program under every seed; results in seed order."""
+                  benchmark_name: Optional[str] = None,
+                  timelines: Optional[TimelinePool] = None,
+                  ) -> List[ExecutionResult]:
+        """Replay the program under every seed; results in seed order.
+
+        ``timelines`` is the backend's per-batch generator pool, shared by
+        every cell of the batch; without one each run builds its own.
+        """
         benchmark_name = benchmark_name or program.name
         self._validate_capacity(program)
         seeds = list(seeds)
@@ -102,7 +110,8 @@ class BatchedExecutor:
             )
         streams = self._streams_for(program, lookup)
         return [
-            self._run_one(program, streams, lookup, benchmark_name, seed)
+            self._run_one(program, streams, lookup, benchmark_name, seed,
+                          timelines)
             for seed in seeds
         ]
 
@@ -111,7 +120,8 @@ class BatchedExecutor:
     # ------------------------------------------------------------------
     def _run_one(self, program: DistributedProgram, streams: CompiledStreams,
                  lookup: Optional[ScheduleLookupTable], benchmark_name: str,
-                 seed: int) -> ExecutionResult:
+                 seed: int, timelines: Optional[TimelinePool]
+                 ) -> ExecutionResult:
         design = self.design
         architecture = self.architecture
         kappa = architecture.decoherence_rate
@@ -123,6 +133,7 @@ class BatchedExecutor:
             buffer_cutoff=design.buffer_cutoff,
             seed=seed,
             async_groups=design.async_groups,
+            timelines=timelines,
         )
 
         num_qubits = program.num_qubits

@@ -7,7 +7,10 @@ Two trackers back the executors:
   evaluation setting), so availability is the only constraint on local gates.
 * :class:`EntanglementDirectory` — one
   :class:`~repro.entanglement.service.EntanglementService` per connected node
-  pair, created from the architecture and the design configuration.
+  pair, created from the architecture and the design configuration.  Its
+  generators come from a :data:`TimelinePool`: a backend passes one pool to
+  every run of a batch, so runs with the same seed and attempt schedule
+  share one (pure, grow-only) success timeline.
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ from repro.exceptions import RuntimeSimulationError
 __all__ = [
     "DataQubitTracker",
     "EntanglementDirectory",
+    "TimelinePool",
 ]
 
 NodePair = Tuple[int, int]
+
+#: Generators keyed by ``(schedule, success_probability, generator_seed)``,
+#: the inputs an :class:`EntanglementGenerator` is a pure function of.
+TimelinePool = Dict[Tuple[AttemptSchedule, float, int], EntanglementGenerator]
 
 
 class DataQubitTracker:
@@ -136,6 +144,9 @@ class EntanglementDirectory:
         Optional storage cutoff for buffered links.
     seed:
         Base seed; every node pair derives an independent sub-seed.
+    timelines:
+        Pool to take generators from and add new ones to; a private, empty
+        pool when omitted (the legacy executor's fresh generators).
     """
 
     def __init__(
@@ -147,6 +158,7 @@ class EntanglementDirectory:
         buffer_cutoff: Optional[float] = None,
         seed: int = 0,
         async_groups: Optional[int] = None,
+        timelines: Optional[TimelinePool] = None,
     ) -> None:
         self.architecture = architecture
         self.attempt_policy = attempt_policy
@@ -155,6 +167,7 @@ class EntanglementDirectory:
         self.buffer_cutoff = buffer_cutoff
         self.seed = seed
         self.async_groups = async_groups
+        self._timelines: TimelinePool = {} if timelines is None else timelines
         self._services: Dict[NodePair, EntanglementService] = {}
 
     # ------------------------------------------------------------------
@@ -194,11 +207,12 @@ class EntanglementDirectory:
             num_groups=groups,
             stagger=times.local_cnot,
         )
-        generator = EntanglementGenerator(
-            schedule,
-            success_probability=architecture.physics.epr_success_probability,
-            seed=self.seed + 1009 * (pair[0] * architecture.num_nodes + pair[1]),
-        )
+        key = (schedule, architecture.physics.epr_success_probability,
+               self.seed + 1009 * (pair[0] * architecture.num_nodes + pair[1]))
+        generator = self._timelines.get(key)
+        if generator is None:
+            generator = self._timelines[key] = EntanglementGenerator(
+                schedule, success_probability=key[1], seed=key[2])
         capacity = (
             architecture.buffer_capacity_between(*pair) if self.use_buffer else 0
         )

@@ -74,6 +74,25 @@ class TestAttemptSchedule:
             schedule.completions_between(0, 5.0, 1.0)
 
 
+def _attempt_scan(generator, pair, start, end):
+    """Successes of one pair in ``(start, end]``, one attempt at a time.
+
+    The scan starts at :meth:`AttemptSchedule.attempt_index_completing_after`
+    (so its grid-hit rule applies) and reads outcomes through the per-pair
+    ``attempt_succeeds`` query.
+    """
+    schedule = generator.schedule
+    attempt = schedule.attempt_index_completing_after(pair, start)
+    while True:
+        completion = schedule.attempt_completion(pair, attempt)
+        if completion > end + 1e-12:
+            return
+        if completion > start + 1e-12 and \
+                generator.attempt_succeeds(pair, attempt):
+            yield completion, pair, attempt
+        attempt += 1
+
+
 class TestGenerator:
     def _generator(self, policy=AttemptPolicy.SYNCHRONOUS, psucc=0.4, seed=0,
                    pairs=10):
@@ -104,13 +123,15 @@ class TestGenerator:
 
     def test_unit_probability_always_succeeds(self):
         generator = self._generator(psucc=1.0)
-        events = generator.successes_between(0, 0, 100)
-        assert len(events) == 10
+        events = generator.merged_successes_between(0, 100)
+        assert len(events) == 100
+        assert [e.attempt_index for e in events if e.pair_index == 0] == \
+            list(range(10))
 
     def test_first_success_after(self):
         generator = self._generator(psucc=1.0)
-        event = generator.first_success_after(0, 25.0)
-        assert event.time == pytest.approx(30.0)
+        index = generator.timeline_index(25.0 + 1e-12)
+        assert (generator.times[index], generator.pairs[index]) == (30.0, 0)
 
     def test_merged_events_sorted(self):
         generator = self._generator(policy=AttemptPolicy.ASYNCHRONOUS, seed=5)
@@ -125,8 +146,8 @@ class TestGenerator:
         for start, end in [(0.0, 35.0), (10.0, 10.0), (20.0 - 1e-10, 61.0),
                            (17.3, 400.0), (400.0, 401.0), (0.0, 3000.0)]:
             expected = sorted(
-                (e.time, e.pair_index, e.attempt_index) for pair in range(10)
-                for e in per_pair.successes_between(pair, start, end))
+                event for pair in range(10)
+                for event in _attempt_scan(per_pair, pair, start, end))
             assert [(e.time, e.pair_index, e.attempt_index) for e in
                     merged.merged_successes_between(start, end)] == expected
 
@@ -141,6 +162,12 @@ class TestGenerator:
             EntanglementGenerator(schedule, 0.0)
         with pytest.raises(EntanglementError):
             EntanglementGenerator(schedule, 1.5)
+
+    def test_pair_count_beyond_short_index_rejected(self):
+        # Timeline pair indices are stored as C shorts.
+        EntanglementGenerator(AttemptSchedule(num_pairs=32768))
+        with pytest.raises(EntanglementError):
+            EntanglementGenerator(AttemptSchedule(num_pairs=32769))
 
     def test_negative_attempt_rejected(self):
         generator = self._generator()

@@ -11,7 +11,9 @@ backends and chunked dispatch.
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -23,7 +25,9 @@ from repro.engine import (
     SerialBackend,
     chunk_tasks,
 )
+from repro.engine import backends
 from repro.engine.backends import ExecutionTask, get_backend
+from repro.entanglement.generator import EntanglementGenerator
 from repro.exceptions import ConfigurationError
 from repro.runtime import (
     BatchedExecutor,
@@ -34,6 +38,7 @@ from repro.runtime import (
 from repro.runtime.execmode import BATCHED, EXEC_ENV_VAR, LEGACY
 from repro.runtime.gatestream import OP_REMOTE, lower_cell
 from repro.runtime.designs import get_design
+from repro.study import Study
 
 SEEDS = [1, 2, 3]
 
@@ -339,6 +344,92 @@ def test_get_backend_honours_repro_backend_env(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# per-batch entanglement timeline pool
+# ---------------------------------------------------------------------------
+def _sharing_study():
+    # Two comm-qubit counts put schedules with different ``num_pairs``
+    # (besides the sync and async phasings) into one pool.
+    return Study(benchmarks=["QFT-32", "QAOA-r8-32"], num_runs=4,
+                 base_seed=5, axes={"comm_qubits_per_node": [4, 10]})
+
+
+def test_shared_timelines_equal_fresh_generators(monkeypatch):
+    # The legacy core builds fresh generators for every run; the batched
+    # core shares one timeline per (schedule, psucc, seed) across the batch.
+    monkeypatch.setenv(EXEC_ENV_VAR, BATCHED)
+    shared = _sharing_study().run().to_json()
+    monkeypatch.setenv(EXEC_ENV_VAR, LEGACY)
+    fresh = _sharing_study().run().to_json()
+    assert shared == fresh
+
+
+def test_shared_timelines_are_growth_order_independent():
+    study = _sharing_study()
+    plan = study.plan()
+    cells = study.compile_plan(plan)
+    seeds = plan.cells[0].seeds
+    forward_pool, reverse_pool = {}, {}
+    forward = [cell.execute_batch(seeds, mode=BATCHED, timelines=forward_pool)
+               for cell in cells]
+    # Reverse plan order through one pool: a longer run grows a timeline
+    # before a shorter one reads it.
+    reverse = [cell.execute_batch(seeds, mode=BATCHED, timelines=reverse_pool)
+               for cell in reversed(cells)][::-1]
+    fresh = [cell.execute_batch(seeds, mode=BATCHED) for cell in cells]
+    assert forward == reverse == fresh
+    # Two phasings x two comm-qubit counts x four seeds, one node pair.
+    assert len(forward_pool) == len(reverse_pool) == 2 * 2 * len(seeds)
+
+
+def _track_generators(monkeypatch):
+    """Weak references to every generator built from now on."""
+    refs = []
+    original = EntanglementGenerator.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(EntanglementGenerator, "__init__", tracking_init)
+    return refs
+
+
+@pytest.mark.parametrize("backend", [
+    SerialBackend(), ProcessPoolBackend(max_workers=1),
+], ids=["serial", "process-inline"])
+def test_timeline_pool_lives_for_one_execute_call(monkeypatch, backend):
+    monkeypatch.delenv(EXEC_ENV_VAR, raising=False)
+    compiler = CellCompiler(system=SystemConfig())
+    cells = [compiler.compile("TLIM-32", design) for design in list_designs()]
+    seeds = [3, 4, 5]
+    refs = _track_generators(monkeypatch)
+    results = backend.execute(
+        [ExecutionTask(cell, seed) for cell in cells for seed in seeds])
+    assert len(results) == len(cells) * len(seeds)
+    # A pool entry is built only on a miss, so builds count its size: one
+    # generator per seed and phasing (sync, async) of the one node pair,
+    # shared by every non-ideal design.
+    assert len(refs) == len(seeds) * 2
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_process_worker_keeps_one_pool_per_batch_token(monkeypatch):
+    monkeypatch.delenv(EXEC_ENV_VAR, raising=False)
+    cell = CellCompiler(system=SystemConfig()).compile("TLIM-16", "async_buf")
+    monkeypatch.setattr(backends, "_WORKER_CELLS", {cell.cache_key: cell})
+    monkeypatch.setattr(backends, "_WORKER_TIMELINES", {})
+    refs = _track_generators(monkeypatch)
+    first = backends._run_seed_chunk((cell.cache_key, (1, 2), 7))
+    assert backends._run_seed_chunk((cell.cache_key, (1, 2), 7)) == first
+    assert len(refs) == 2  # the second chunk of batch 7 reused its pool
+    backends._run_seed_chunk((cell.cache_key, (1,), 8))
+    assert list(backends._WORKER_TIMELINES) == [8]
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False]
+
+
+# ---------------------------------------------------------------------------
 # ArtifactCache statistics (satellite)
 # ---------------------------------------------------------------------------
 def test_artifact_cache_hit_rate_guard_and_reset():
@@ -386,19 +477,21 @@ def test_bulk_successes_between_matches_attempt_scan():
     schedule = AttemptSchedule(num_pairs=3)
     generator = EntanglementGenerator(schedule, success_probability=0.3,
                                       seed=5)
-    for pair in range(3):
-        for start, end in [(0.0, 35.0), (10.0, 10.0), (17.3, 220.0),
-                           (220.0, 221.0), (0.0, 1.0)]:
-            events = generator.successes_between(pair, start, end)
-            expected = []
+    reference = EntanglementGenerator(schedule, success_probability=0.3,
+                                      seed=5)
+    for start, end in [(0.0, 35.0), (10.0, 10.0), (17.3, 220.0),
+                       (220.0, 221.0), (0.0, 1.0)]:
+        expected = []
+        for pair in range(3):
             attempt = schedule.attempt_index_completing_after(pair, start)
             while True:
                 completion = schedule.attempt_completion(pair, attempt)
                 if completion > end + 1e-12:
                     break
                 if completion > start + 1e-12 and \
-                        generator.attempt_succeeds(pair, attempt):
+                        reference.attempt_succeeds(pair, attempt):
                     expected.append((completion, pair, attempt))
                 attempt += 1
-            assert [(e.time, e.pair_index, e.attempt_index)
-                    for e in events] == expected
+        events = generator.merged_successes_between(start, end)
+        assert [(e.time, e.pair_index, e.attempt_index)
+                for e in events] == sorted(expected)

@@ -452,3 +452,51 @@ def test_service_matches_per_attempt_reference(script):
     assert service.statistics.generated_total == reference.generated
     assert service.statistics.consumed_direct == reference.direct
     assert service.total_wasted == reference.buffer.statistics.wasted_total
+
+
+# ---------------------------------------------------------------------------
+# merged timeline: growth-order independence
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=st.builds(
+           AttemptSchedule,
+           num_pairs=st.integers(1, 5),
+           cycle_time=st.sampled_from([10.0, 3.7, 0.3]),
+           policy=st.sampled_from([AttemptPolicy.SYNCHRONOUS,
+                                   AttemptPolicy.ASYNCHRONOUS]),
+           num_groups=st.integers(1, 4),
+           stagger=st.sampled_from([1.0, 0.1, 0.7])),
+       psucc=st.sampled_from([0.2, 0.4, 0.9, 1.0]),
+       seed=st.integers(0, 50),
+       cycles=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=8))
+def test_timeline_growth_matches_one_shot_and_attempt_scan(schedule, psucc,
+                                                           seed, cycles):
+    from repro.entanglement import EntanglementGenerator
+
+    grown = EntanglementGenerator(schedule, psucc, seed=seed)
+    counts = [(grown.timeline_index(c * schedule.cycle_time),
+               c * schedule.cycle_time) for c in cycles]
+    grown_entries = list(zip(grown.times, grown.pairs, grown.attempts))
+
+    once = EntanglementGenerator(schedule, psucc, seed=seed)
+    once.extend_timeline(grown.horizon)
+    assert once.horizon > grown.horizon
+    size = len(grown.times)
+    assert list(zip(once.times, once.pairs, once.attempts))[:size] == \
+        grown_entries
+    # Nothing completing within the grown horizon is missing from it.
+    assert size == len(once.times) or once.times[size] > grown.horizon
+
+    scan = EntanglementGenerator(schedule, psucc, seed=seed)
+    brute = []
+    for pair in range(schedule.num_pairs):
+        attempt = 0
+        while schedule.attempt_completion(pair, attempt) <= grown.horizon:
+            if scan.attempt_succeeds(pair, attempt):
+                brute.append((schedule.attempt_completion(pair, attempt),
+                              pair, attempt))
+            attempt += 1
+    assert grown_entries == sorted(brute)
+    for count, threshold in counts:
+        assert count == sum(1 for entry in brute if entry[0] <= threshold)
