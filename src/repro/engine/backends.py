@@ -22,28 +22,32 @@ consecutive tasks of the same cell into ``(cell, seed-chunk)`` batches
 :meth:`~repro.engine.compiler.CompiledCell.execute_batch`, so per-cell
 artifacts — gate streams, lookup tables, static counts — are shared across
 a whole chunk of seeds instead of being re-entered (and, for the process
-pool, re-pickled) once per run.  Process workers are persistent and inherit
-the compiled cells of the first batch through the pool initializer; chunks
-then travel as ``(cache_key, seeds, batch)`` triples, a few bytes each.
+pool, re-pickled) once per run.
 
-Each :meth:`~ExecutionBackend.execute` call also owns one entanglement
-:data:`~repro.runtime.resources.TimelinePool`: every run of the call with
-the same seed and attempt schedule replays one shared success timeline
-instead of drawing its own.  The pool dies with the call (a process worker
-keeps the pool of its current ``batch`` token and drops it when the next
-call's token arrives), so a long-lived daemon holds no timelines between
-jobs.
+Batches are then grouped by seed range (:func:`_seed_groups`): the batches
+of every cell over the same seeds are replayed together through one
+entanglement :data:`~repro.runtime.resources.TimelinePool`, so all runs
+with the same seed and attempt schedule read one shared success timeline
+instead of drawing their own.  A pool lives for one seed range and is
+dropped when the range is done — on the calling thread for the serial
+backend, inside the worker's submission for the process pool — so peak
+memory scales with one range's seeds (at most :data:`_SEED_RANGE` by
+default), not the call's, and no timeline outlives the
+:meth:`~ExecutionBackend.execute` call.  Process workers are persistent
+and inherit the compiled cells of the first batch through the pool
+initializer; a submission then travels as ``(cache_keys, seeds)``, and
+each worker owns the seeds of the ranges it runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.engine.compiler import CompiledCell
 from repro.exceptions import ConfigurationError
@@ -69,6 +73,11 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: Load-balancing oversubscription: aim for this many chunks per worker so
 #: unevenly expensive cells (e.g. adaptive vs ideal designs) level out.
 _CHUNKS_PER_WORKER = 4
+
+#: Most seeds per seed range by default.  A range's timeline pool holds a
+#: generator per seed, attempt schedule and node pair, so this bounds the
+#: pool's memory whatever the size of the call.
+_SEED_RANGE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,16 +175,45 @@ class ExecutionBackend(ABC):
         self.close()
 
 
+def _seed_groups(
+    chunks: List[Tuple[CompiledCell, List[int]]],
+) -> Dict[Tuple[int, ...], List[Tuple[int, CompiledCell]]]:
+    """Group chunks by their seeds, each tagged with its first task's index.
+
+    The chunks of different cells over the same seed range share
+    entanglement timelines, so each group is replayed through one pool.
+    Groups and their members keep first-appearance order.
+    """
+    groups: Dict[Tuple[int, ...], List[Tuple[int, CompiledCell]]] = {}
+    offset = 0
+    for cell, seeds in chunks:
+        groups.setdefault(tuple(seeds), []).append((offset, cell))
+        offset += len(seeds)
+    return groups
+
+
+def _replay_group(cells: Sequence[CompiledCell], seeds: Sequence[int],
+                  ) -> Iterator[List[ExecutionResult]]:
+    """Replay every cell under ``seeds`` through one timeline pool.
+
+    Yields each cell's batch as it completes; the pool is freed once the
+    last cell is done.
+    """
+    timelines: TimelinePool = {}
+    for cell in cells:
+        yield cell.execute_batch(list(seeds), timelines=timelines)
+
+
 def _execute_inline(chunks: List[Tuple[CompiledCell, List[int]]],
                     sink: Optional[ResultSink]) -> List[ExecutionResult]:
-    """Replay chunks in order on the calling thread through one pool."""
-    timelines: TimelinePool = {}
-    results: List[ExecutionResult] = []
-    for cell, seeds in chunks:
-        batch = cell.execute_batch(seeds, timelines=timelines)
-        if sink is not None:
-            sink(len(results), batch)
-        results.extend(batch)
+    """Replay chunks seed range by seed range on the calling thread."""
+    results: List[ExecutionResult] = [None] * sum(len(s) for _, s in chunks)
+    for seeds, members in _seed_groups(chunks).items():
+        batches = _replay_group([cell for _, cell in members], seeds)
+        for (start, _), batch in zip(members, batches):
+            if sink is not None:
+                sink(start, batch)
+            results[start:start + len(batch)] = batch
     return results
 
 
@@ -184,17 +222,18 @@ class SerialBackend(ExecutionBackend):
 
     Consecutive same-cell tasks are replayed as one seed batch so the
     per-cell replay state (gate-stream columns, lookup resets) is shared,
-    and every batch of one call shares one entanglement timeline pool.
+    and the batches of every cell over one seed range share one
+    entanglement timeline pool, so batches run (and reach the sink) seed
+    range by seed range.
     """
 
     name = "serial"
 
     def execute(self, tasks: Sequence[ExecutionTask],
                 sink: Optional[ResultSink] = None) -> List[ExecutionResult]:
-        # Without a sink the whole run of one cell is a single batch; a
-        # sink's granularity hint bounds the batches so durable chunks
-        # become visible (and persistable) as soon as they complete.
-        chunk_size = len(tasks) or 1
+        # A sink's granularity hint bounds the batches further so durable
+        # chunks become visible (and persistable) as soon as they complete.
+        chunk_size = _SEED_RANGE
         hint = _sink_chunk_hint(sink)
         if hint is not None:
             chunk_size = min(chunk_size, hint)
@@ -207,13 +246,8 @@ class SerialBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 
 #: Worker-side compiled-cell registry, keyed by cell fingerprint; seeded by
-#: the pool initializer so chunks travel as ``(cache_key, seeds, batch)``.
+#: the pool initializer so submissions travel as ``(cache_keys, seeds)``.
 _WORKER_CELLS: Dict[str, CompiledCell] = {}
-#: Worker-side timeline pool of the current ``execute`` call, keyed by its
-#: batch token; at most one entry.
-_WORKER_TIMELINES: Dict[int, TimelinePool] = {}
-#: Driver-side source of per-``execute`` batch tokens.
-_BATCH_TOKENS = itertools.count()
 
 
 def _init_worker(cells: Dict[str, CompiledCell]) -> None:
@@ -221,26 +255,22 @@ def _init_worker(cells: Dict[str, CompiledCell]) -> None:
     _WORKER_CELLS.update(cells)
 
 
-def _run_seed_chunk(
-    payload: Tuple[str, Tuple[int, ...], int],
-) -> List[ExecutionResult]:
-    """Replay one ``(cell, seed-chunk)`` batch inside a worker process.
+def _run_seed_group(
+    payload: Tuple[Tuple[str, ...], Tuple[int, ...]],
+) -> List[List[ExecutionResult]]:
+    """Replay cells under one seed range inside a worker process.
 
-    Chunks of one ``execute`` call share the worker's timeline pool; the
-    first chunk of a new call drops the previous call's pool.
+    Returns one batch per cell, in ``payload`` order; the cells share one
+    timeline pool, which is freed when the submission returns.
     """
-    key, seeds, batch = payload
-    cell = _WORKER_CELLS.get(key)
-    if cell is None:  # pragma: no cover - _ensure_pool keeps workers covered
+    keys, seeds = payload
+    missing = [key for key in keys if key not in _WORKER_CELLS]
+    if missing:  # pragma: no cover - _ensure_pool keeps workers covered
         raise ConfigurationError(
-            f"worker has no compiled cell for key {key[:12]}…; "
+            f"worker has no compiled cell for key {missing[0][:12]}…; "
             f"the pool initializer did not cover this batch"
         )
-    timelines = _WORKER_TIMELINES.get(batch)
-    if timelines is None:
-        _WORKER_TIMELINES.clear()
-        timelines = _WORKER_TIMELINES[batch] = {}
-    return cell.execute_batch(list(seeds), timelines=timelines)
+    return list(_replay_group([_WORKER_CELLS[key] for key in keys], seeds))
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -252,20 +282,23 @@ class ProcessPoolBackend(ExecutionBackend):
         Worker process count.  The default uses every usable CPU (scheduler
         affinity when available) and is never 1 on a multi-core machine.
     chunksize:
-        Maximum seeds per dispatched batch; by default sized so every
-        worker receives about :data:`_CHUNKS_PER_WORKER` batches
-        (``ceil(num_tasks / (workers * 4))``), balancing load without
-        degenerating into per-run dispatch.
+        Maximum seeds per seed range; by default the call's distinct seeds
+        are split into one range per worker (``ceil(num_seeds / workers)``
+        seeds each, at most :data:`_SEED_RANGE`).  Each submission carries
+        every cell of one range, so a worker draws the timelines of its own
+        seeds only, and ranges with the same cell mix and seed count cost
+        about the same.  When there are fewer ranges than workers (fewer
+        seeds than workers), each range's cells are split over about
+        :data:`_CHUNKS_PER_WORKER` submissions per worker instead, so
+        unevenly expensive cells level out.
 
     The pool is created lazily on the first :meth:`execute` call and reused
     until :meth:`close`, so sweeps pay the worker start-up cost once.
     Workers inherit every compiled cell through the pool initializer and
-    chunks then travel as ``(cache_key, seeds, batch)`` triples; when a
-    later call brings cells the current pool has never seen, the pool is
-    rebuilt once with the accumulated cell set (workers restart, but cells
-    are pickled once per worker instead of once per chunk forever).  Every
-    chunk of one call carries that call's ``batch`` token, so a worker
-    shares entanglement timelines across the chunks it runs for the call.
+    submissions then travel as ``(cache_keys, seeds)`` pairs; when a later
+    call brings cells the current pool has never seen, the pool is rebuilt
+    once with the accumulated cell set (workers restart, but cells are
+    pickled once per worker instead of once per chunk forever).
 
     A one-worker pool is pure overhead — serial execution plus pickling —
     which is exactly the ``BENCH_engine.json`` regression (0.89x vs serial).
@@ -317,44 +350,45 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return self._pool
 
-    def _chunk_size(self, num_tasks: int) -> int:
+    def _chunk_size(self, num_seeds: int) -> int:
         if self.chunksize is not None:
             return self.chunksize
-        return max(1, math.ceil(num_tasks / (self._workers() * _CHUNKS_PER_WORKER)))
+        return max(1, min(_SEED_RANGE,
+                          math.ceil(num_seeds / self._workers())))
 
     def execute(self, tasks: Sequence[ExecutionTask],
                 sink: Optional[ResultSink] = None) -> List[ExecutionResult]:
         tasks = list(tasks)
         if not tasks:
             return []
-        chunk_size = self._chunk_size(len(tasks))
+        chunk_size = self._chunk_size(len({task.seed for task in tasks}))
         hint = _sink_chunk_hint(sink)
         if hint is not None:
             chunk_size = min(chunk_size, hint)
         chunks = chunk_tasks(tasks, chunk_size)
         if self._workers() == 1:
             return _execute_inline(chunks, sink)
-        cells = {chunk[0].cache_key: chunk[0] for chunk in chunks}
-        pool = self._ensure_pool(cells)
-        token = next(_BATCH_TOKENS)
-        start_of: Dict[object, int] = {}
-        offset = 0
-        for cell, seeds in chunks:
-            future = pool.submit(_run_seed_chunk,
-                                 (cell.cache_key, tuple(seeds), token))
-            start_of[future] = offset
-            offset += len(seeds)
+        pool = self._ensure_pool({cell.cache_key: cell for cell, _ in chunks})
+        groups = _seed_groups(chunks)
+        splits = 1
+        if len(groups) < self._workers():
+            splits = math.ceil(self._workers() * _CHUNKS_PER_WORKER
+                               / len(groups))
+        members_of = {}
+        for seeds, members in groups.items():
+            step = math.ceil(len(members) / splits)
+            for first in range(0, len(members), step):
+                part = members[first:first + step]
+                keys = tuple(cell.cache_key for _, cell in part)
+                members_of[pool.submit(_run_seed_group, (keys, seeds))] = part
         # Collect in completion order so the sink observes (and can persist)
-        # chunks the moment workers finish them, then reassemble positionally.
-        collected: Dict[int, List[ExecutionResult]] = {}
-        for future in as_completed(start_of):
-            batch = future.result()
-            if sink is not None:
-                sink(start_of[future], batch)
-            collected[start_of[future]] = batch
-        results: List[ExecutionResult] = []
-        for start in sorted(collected):
-            results.extend(collected[start])
+        # chunks the moment workers finish them; results land positionally.
+        results: List[ExecutionResult] = [None] * len(tasks)
+        for future in as_completed(members_of):
+            for (start, _), batch in zip(members_of[future], future.result()):
+                if sink is not None:
+                    sink(start, batch)
+                results[start:start + len(batch)] = batch
         return results
 
     def close(self) -> None:

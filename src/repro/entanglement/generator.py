@@ -17,7 +17,7 @@ stochastic process.  All pairs draw in lockstep into one boolean
 ``(pair, attempt)`` array.
 
 The successes of all pairs form one merged *timeline*: compact parallel
-arrays ``times``/``pairs``/``attempts`` (``array('d')``/``array('h')``/
+arrays ``times``/``pairs``/``attempts`` (``array('d')``/``array('i')``/
 ``array('i')``) sorted by ``(time, pair)`` and grown in doubling time
 horizons.  Each growth reads the new successes of all pairs off the
 outcome array at once and merges them with one ``np.lexsort``.  The
@@ -58,8 +58,6 @@ _MAX_BLOCK = 8192
 #: grid-hit rule of :meth:`AttemptSchedule.attempt_index_completing_after`
 #: (a ``1e-9``-cycle tolerance) can drop a success; ten-fold margin.
 _GRID_WINDOW = 1e-8
-#: Pair indices are stored as C shorts (``array('h')``).
-_MAX_PAIRS = np.iinfo(np.short).max + 1
 
 
 @dataclass(frozen=True)
@@ -97,11 +95,6 @@ class EntanglementGenerator:
                  seed: int = 0) -> None:
         if not (0.0 < success_probability <= 1.0):
             raise EntanglementError("success probability must be in (0, 1]")
-        if schedule.num_pairs > _MAX_PAIRS:
-            raise EntanglementError(
-                f"at most {_MAX_PAIRS} pairs per generator, "
-                f"got {schedule.num_pairs}"
-            )
         self.schedule = schedule
         self.success_probability = success_probability
         self.seed = seed
@@ -124,7 +117,7 @@ class EntanglementGenerator:
         # The merged timeline: every success of every pair completing at
         # or before ``horizon``, sorted by (time, pair).
         self.times = array("d")
-        self.pairs = array("h")
+        self.pairs = array("i")
         self.attempts = array("i")
         self.horizon = float("-inf")
         self._grid_window = _GRID_WINDOW * schedule.cycle_time
@@ -236,7 +229,7 @@ class EntanglementGenerator:
             times = completions[pairs, columns]
             order = np.lexsort((pairs, times))
             self.times.frombytes(times[order].tobytes())
-            self.pairs.frombytes(pairs[order].astype(np.short).tobytes())
+            self.pairs.frombytes(pairs[order].astype(np.intc).tobytes())
             self.attempts.frombytes(
                 attempts[columns[order]].astype(np.intc).tobytes())
             # The pair completing last settles how many attempts every

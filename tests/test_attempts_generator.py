@@ -163,12 +163,6 @@ class TestGenerator:
         with pytest.raises(EntanglementError):
             EntanglementGenerator(schedule, 1.5)
 
-    def test_pair_count_beyond_short_index_rejected(self):
-        # Timeline pair indices are stored as C shorts.
-        EntanglementGenerator(AttemptSchedule(num_pairs=32768))
-        with pytest.raises(EntanglementError):
-            EntanglementGenerator(AttemptSchedule(num_pairs=32769))
-
     def test_negative_attempt_rejected(self):
         generator = self._generator()
         with pytest.raises(EntanglementError):

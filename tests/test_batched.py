@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import os
 import weakref
+from concurrent.futures import Future
 
 import pytest
 
@@ -414,19 +415,70 @@ def test_timeline_pool_lives_for_one_execute_call(monkeypatch, backend):
     assert all(ref() is None for ref in refs)
 
 
-def test_process_worker_keeps_one_pool_per_batch_token(monkeypatch):
+def test_seed_groups_collect_each_seed_range_across_cells():
+    compiler = CellCompiler(system=SystemConfig())
+    cell_a = compiler.compile("TLIM-16", "async_buf")
+    cell_b = compiler.compile("TLIM-16", "ideal")
+    tasks = [ExecutionTask(cell, seed) for cell in (cell_a, cell_b)
+             for seed in (1, 2, 3, 4)]
+    groups = backends._seed_groups(chunk_tasks(tasks, chunk_size=2))
+    assert {seeds: [(start, cell is cell_a) for start, cell in members]
+            for seeds, members in groups.items()} == {
+        (1, 2): [(0, True), (4, False)],
+        (3, 4): [(2, True), (6, False)],
+    }
+
+
+class _InlinePool:
+    """Executor stand-in running each submission at once, recording it."""
+
+    def __init__(self):
+        self.payloads = []
+
+    def submit(self, fn, payload):
+        self.payloads.append(payload)
+        future = Future()
+        future.set_result(fn(payload))
+        return future
+
+
+@pytest.mark.parametrize("seeds, submissions, generators", [
+    # Eight seeds, two workers: one seed range per worker, each carrying
+    # every cell, so each seed's two timelines (sync, async) are drawn
+    # once.
+    ([1, 2, 3, 4, 5, 6, 7, 8], [(6, (1, 2, 3, 4)), (6, (5, 6, 7, 8))], 16),
+    # One seed: too few ranges to busy both workers, so the range's cells
+    # are split over submissions and each non-ideal cell draws its own.
+    ([4], [(1, (4,))] * 6, 5),
+], ids=["seed-ranges", "one-seed"])
+def test_process_dispatch_submits_seed_ranges(monkeypatch, seeds,
+                                              submissions, generators):
     monkeypatch.delenv(EXEC_ENV_VAR, raising=False)
-    cell = CellCompiler(system=SystemConfig()).compile("TLIM-16", "async_buf")
-    monkeypatch.setattr(backends, "_WORKER_CELLS", {cell.cache_key: cell})
-    monkeypatch.setattr(backends, "_WORKER_TIMELINES", {})
+    compiler = CellCompiler(system=SystemConfig())
+    cells = [compiler.compile("TLIM-16", design) for design in list_designs()]
+    tasks = [ExecutionTask(cell, seed) for cell in cells for seed in seeds]
+    serial = SerialBackend().execute(tasks)
+    pool = _InlinePool()
+    monkeypatch.setattr(backends, "_WORKER_CELLS",
+                        {cell.cache_key: cell for cell in cells})
+    backend = ProcessPoolBackend(max_workers=2)
+    monkeypatch.setattr(backend, "_ensure_pool", lambda cells: pool)
+    delivered = []
     refs = _track_generators(monkeypatch)
-    first = backends._run_seed_chunk((cell.cache_key, (1, 2), 7))
-    assert backends._run_seed_chunk((cell.cache_key, (1, 2), 7)) == first
-    assert len(refs) == 2  # the second chunk of batch 7 reused its pool
-    backends._run_seed_chunk((cell.cache_key, (1,), 8))
-    assert list(backends._WORKER_TIMELINES) == [8]
+
+    def sink(start, batch):
+        delivered.append((start, len(batch)))
+
+    assert backend.execute(tasks, sink=sink) == serial
+    assert [(len(keys), group_seeds) for keys, group_seeds
+            in pool.payloads] == submissions
+    assert sorted(delivered) == [(start, len(submissions[0][1]))
+                                 for start in range(0, len(tasks),
+                                                    len(submissions[0][1]))]
+    # Each submission drew its own seeds' timelines and freed its pool.
+    assert len(refs) == generators
     gc.collect()
-    assert [ref() is None for ref in refs] == [True, True, False]
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
