@@ -1,26 +1,21 @@
 """Remote-entanglement-generation substrate.
 
-Werner states and decay, entanglement links, attempt scheduling (synchronous
-vs asynchronous), the stochastic generator, buffer pools, and the
-interactive supply service used by the runtime.
+Werner states and decay, attempt scheduling (synchronous vs
+asynchronous), the stochastic generator and its merged success timeline,
+and the interactive supply service used by the runtime, which buffers
+links as flat sorted time lists.
 """
 
 from repro.entanglement.attempts import AttemptPolicy, AttemptSchedule
-from repro.entanglement.buffer import BufferPool, BufferStatistics
 from repro.entanglement.generator import EntanglementGenerator, GenerationEvent
-from repro.entanglement.link import EntanglementLink, LinkLocation
 from repro.entanglement.service import EntanglementService, ServiceStatistics
 from repro.entanglement.werner import WernerState, werner_density_matrix, werner_fidelity_after
 
 __all__ = [
     "AttemptPolicy",
     "AttemptSchedule",
-    "BufferPool",
-    "BufferStatistics",
     "EntanglementGenerator",
     "GenerationEvent",
-    "EntanglementLink",
-    "LinkLocation",
     "EntanglementService",
     "ServiceStatistics",
     "WernerState",

@@ -3,8 +3,15 @@
 :class:`EntanglementService` is the component the discrete-event executor
 talks to.  It simulates, forward in time, the stochastic successes of the
 communication-qubit pairs (via :class:`EntanglementGenerator`), stores the
-resulting links in a capacity-limited :class:`BufferPool`, and serves remote
-gates through :meth:`acquire`.
+resulting links in a capacity-limited buffer, and serves remote gates
+through :meth:`acquire`.
+
+The buffer is two parallel lists, oldest first: the creation time and the
+buffered time of each stored link.  Successes come off the sorted
+timeline and pre-filled links are created and buffered at time 0, so both
+lists stay sorted: the links available at ``t`` are a prefix found by
+bisection, the freshest of them is the last one, and a full buffer or the
+storage cutoff drops links from the head.
 
 Design variants map onto service configurations:
 
@@ -21,13 +28,12 @@ Design variants map onto service configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.entanglement.buffer import BufferPool
 from repro.entanglement.generator import EntanglementGenerator
-from repro.entanglement.link import EntanglementLink, LinkLocation
-from repro.exceptions import EntanglementError
+from repro.exceptions import BufferError, EntanglementError
 
 __all__ = ["EntanglementService", "ServiceStatistics"]
 
@@ -39,7 +45,10 @@ class ServiceStatistics:
     generated_total: int = 0
     consumed_from_buffer: int = 0
     consumed_direct: int = 0
-    direct_consumed_age: float = 0.0
+    #: Links generated (or pre-filled) but never consumed: displaced from
+    #: a full buffer, dropped by a zero-capacity one, expired by the
+    #: cutoff, or flushed at the end of the run.
+    wasted_total: int = 0
 
     @property
     def consumed_total(self) -> int:
@@ -58,8 +67,9 @@ class EntanglementService:
         timeline and keeps every per-run position to itself.
     buffer_capacity:
         Number of links storable between the node pair (0 = no buffer).
+        A link arriving at a full buffer displaces the oldest stored one.
     kappa:
-        Decoherence rate used for link-fidelity decay queries.
+        Decoherence rate of the stored links.
     initial_fidelity:
         Werner fidelity of freshly generated links (Table II: 0.99).
     swap_latency:
@@ -89,9 +99,11 @@ class EntanglementService:
         buffer_cutoff: Optional[float] = None,
         prefill: int = 0,
         node_pair: Tuple[int, int] = (0, 1),
-        consumption_order: str = "lifo",
-        replace_oldest_when_full: bool = True,
     ) -> None:
+        if buffer_capacity < 0:
+            raise BufferError("buffer capacity must be non-negative")
+        if buffer_cutoff is not None and buffer_cutoff <= 0:
+            raise BufferError("buffer cutoff must be positive when given")
         if kappa < 0:
             raise EntanglementError("decoherence rate must be non-negative")
         if swap_latency < 0:
@@ -102,47 +114,32 @@ class EntanglementService:
             raise EntanglementError(
                 "cannot pre-fill more links than the buffer capacity"
             )
+        if node_pair[0] == node_pair[1]:
+            raise EntanglementError("a link must connect two different nodes")
+        if not (0.0 < initial_fidelity <= 1.0):
+            raise EntanglementError("initial fidelity must be in (0, 1]")
+        schedule = generator.schedule
+        # Every success completes at or after its pair's first completion.
+        if any(schedule.first_completion(pair) < 0
+               for pair in range(schedule.num_pairs)):
+            raise EntanglementError("creation time must be non-negative")
         self.generator = generator
-        self.buffer = BufferPool(
-            buffer_capacity,
-            cutoff=buffer_cutoff,
-            replace_oldest_when_full=replace_oldest_when_full,
-            consumption_order=consumption_order,
-        )
+        self.buffer_capacity = buffer_capacity
+        self.buffer_cutoff = buffer_cutoff
         self.kappa = kappa
         self.initial_fidelity = initial_fidelity
         self.swap_latency = swap_latency
         self.node_pair = (min(node_pair), max(node_pair))
         self.statistics = ServiceStatistics()
+        #: The buffer, oldest first: creation and buffered time per link.
+        self._created: List[float] = [0.0] * prefill
+        self._buffered: List[float] = [0.0] * prefill
         self._materialized_until = 0.0
         #: Timeline index of the first success past the materialised
         #: frontier, and the indices at or beyond it already consumed
         #: directly by :meth:`acquire`.
         self._cursor = 0
         self._delivered: set = set()
-        self._prefill_links(prefill)
-
-    # ------------------------------------------------------------------
-    def _prefill_links(self, count: int) -> None:
-        for index in range(count):
-            link = EntanglementLink(
-                node_pair=self.node_pair,
-                created_time=0.0,
-                initial_fidelity=self.initial_fidelity,
-                pair_index=index % max(1, self.generator.schedule.num_pairs),
-            )
-            stored = self.buffer.store(link, 0.0)
-            if not stored:  # pragma: no cover - guarded by the prefill check
-                raise EntanglementError("buffer rejected a pre-filled link")
-
-    def _new_link(self, time: float, pair_index: int) -> EntanglementLink:
-        self.statistics.generated_total += 1
-        return EntanglementLink(
-            node_pair=self.node_pair,
-            created_time=time,
-            initial_fidelity=self.initial_fidelity,
-            pair_index=pair_index,
-        )
 
     # ------------------------------------------------------------------
     # forward simulation
@@ -150,12 +147,12 @@ class EntanglementService:
     def advance_to(self, time: float) -> None:
         """Materialise all generation successes up to ``time``.
 
-        Successes are stored into the buffer (or wasted when it is full or
-        absent).  Idempotent: advancing to an earlier time than already
-        materialised is a no-op.  The successes delivered are the timeline
-        entries from the cursor up to ``time + 1e-12``, less those already
-        consumed directly and those the grid-hit rule drops at the old
-        frontier.
+        Successes are stored into the buffer (or wasted when it is absent;
+        a full buffer drops its oldest link instead).  Idempotent: advancing
+        to an earlier time than already materialised is a no-op.  The
+        successes delivered are the timeline entries from the cursor up to
+        ``time + 1e-12``, less those already consumed directly and those the
+        grid-hit rule drops at the old frontier.
         """
         start = self._materialized_until
         if time <= start + 1e-12:
@@ -164,55 +161,86 @@ class EntanglementService:
         end = generator.timeline_index(time + 1e-12)
         delivered = self._delivered
         times = generator.times
+        created = self._created
+        buffered = self._buffered
+        capacity = self.buffer_capacity
+        cutoff = self.buffer_cutoff
+        swap_latency = self.swap_latency
+        statistics = self.statistics
         for index in range(self._cursor, end):
             if index in delivered:
                 delivered.discard(index)
-            elif not generator.grid_skips(index, start):
-                link = self._new_link(times[index], generator.pairs[index])
-                self.buffer.store(link, times[index] + self.swap_latency)
+                continue
+            if generator.grid_skips(index, start):
+                continue
+            statistics.generated_total += 1
+            created_time = times[index]
+            buffered_time = created_time + swap_latency
+            if cutoff is not None:
+                self._expire(buffered_time)
+            if len(created) >= capacity:
+                statistics.wasted_total += 1
+                if not capacity:
+                    continue
+                del created[0]
+                del buffered[0]
+            created.append(created_time)
+            buffered.append(buffered_time)
         self._cursor = end
         self._materialized_until = time
-        self.buffer.expire_until(time)
+        if cutoff is not None:
+            self._expire(time)
+
+    def _expire(self, time: float) -> None:
+        """Drop the links stored longer than the cutoff at ``time``."""
+        buffered = self._buffered
+        limit = self.buffer_cutoff + 1e-12
+        count = 0
+        while count < len(buffered) and time - buffered[count] > limit:
+            count += 1
+        if count:
+            del self._created[:count]
+            del buffered[:count]
+            self.statistics.wasted_total += count
 
     def count_available(self, time: float) -> int:
         """Number of buffered links available for consumption at ``time``."""
         self.advance_to(time)
-        return self.buffer.count_available(time)
+        return bisect_right(self._buffered, time + 1e-12)
 
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
     def acquire(self, after: float,
-                max_scan: float = 1e6) -> Tuple[float, EntanglementLink]:
+                max_scan: float = 1e6) -> Tuple[float, float]:
         """Consume one link for a remote gate that becomes ready at ``after``.
 
-        Returns ``(ready_time, link)`` where ``ready_time >= after`` is the
-        time at which the link is in hand (already buffered, or freshly
-        generated while the gate waits).  The link is marked consumed at
-        ``ready_time``.
+        Returns ``(ready_time, created_time)``: ``ready_time >= after`` is
+        the time at which the link is in hand (already buffered, or freshly
+        generated while the gate waits), ``created_time`` the time its
+        generation succeeded, from which its fidelity at consumption
+        follows.
         """
         if after < 0:
             raise EntanglementError("acquisition time must be non-negative")
         self.advance_to(after)
-
-        # 1. A buffered link is already waiting.
-        if self.buffer.count_available(after) > 0:
-            link = self.buffer.pop_available(after)
+        buffered = self._buffered
+        if self.buffer_cutoff is not None:
+            self._expire(after)
+        # 1. A buffered link is already waiting: take the freshest.
+        ready = after
+        available = bisect_right(buffered, after + 1e-12)
+        if not available and buffered:
+            # 2. A link has been generated but its buffering SWAP is still
+            #    in flight (or it was stored while the service ran ahead in
+            #    time): wait for the earliest such link, then take the
+            #    freshest link available by then.
+            ready = buffered[0]
+            available = bisect_right(buffered, ready + 1e-12)
+        if available:
+            del buffered[available - 1]
             self.statistics.consumed_from_buffer += 1
-            return after, link
-
-        # 2. A link has been generated but its buffering SWAP is still in
-        #    flight (or it was stored while the service ran ahead in time):
-        #    wait for the earliest such link.
-        pending = [
-            link.buffered_time for link in self.buffer.stored_links
-            if link.buffered_time is not None and link.buffered_time > after
-        ]
-        if pending:
-            ready = min(pending)
-            link = self.buffer.pop_available(ready)
-            self.statistics.consumed_from_buffer += 1
-            return ready, link
+            return ready, self._created.pop(available - 1)
 
         # 3. Wait for the next fresh success (consumed directly from the
         #    communication qubits, no buffering SWAP needed): the earliest
@@ -235,12 +263,10 @@ class EntanglementService:
                 f"no entanglement success found within {max_scan} time units"
             )
         self._delivered.add(index)
-        link = self._new_link(times[index], generator.pairs[index])
-        ready = max(after, link.created_time)
-        age = link.consume(ready)
+        created_time = times[index]
+        self.statistics.generated_total += 1
         self.statistics.consumed_direct += 1
-        self.statistics.direct_consumed_age += age
-        return ready, link
+        return max(after, created_time), created_time
 
     # ------------------------------------------------------------------
     # end-of-run accounting
@@ -248,36 +274,6 @@ class EntanglementService:
     def finalize(self, time: float) -> None:
         """Flush remaining buffered links at the end of the program."""
         self.advance_to(time)
-        self.buffer.flush(time)
-
-    @property
-    def total_wasted(self) -> int:
-        """Links generated (or pre-filled) but never consumed."""
-        return self.buffer.statistics.wasted_total
-
-    def mean_consumed_fidelity(self) -> float:
-        """Mean Werner fidelity of consumed links at their consumption time.
-
-        Derived from the recorded consumption ages and the decay law; used in
-        reports and tests (higher is better, 0 if nothing was consumed).
-        """
-        from repro.entanglement.werner import werner_fidelity_after
-
-        total = 0.0
-        count = 0
-        buffer_stats = self.buffer.statistics
-        if buffer_stats.consumed_total:
-            mean_age = buffer_stats.mean_consumed_age
-            total += buffer_stats.consumed_total * werner_fidelity_after(
-                self.initial_fidelity, mean_age, self.kappa
-            )
-            count += buffer_stats.consumed_total
-        if self.statistics.consumed_direct:
-            mean_age = (
-                self.statistics.direct_consumed_age / self.statistics.consumed_direct
-            )
-            total += self.statistics.consumed_direct * werner_fidelity_after(
-                self.initial_fidelity, mean_age, self.kappa
-            )
-            count += self.statistics.consumed_direct
-        return total / count if count else 0.0
+        self.statistics.wasted_total += len(self._buffered)
+        self._created.clear()
+        self._buffered.clear()

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
+from repro.entanglement.werner import werner_fidelity_after
 from repro.hardware.architecture import DQCArchitecture
 from repro.noise.fidelity import FidelityModel
 from repro.partitioning.assigner import DistributedProgram
@@ -125,6 +126,7 @@ class BatchedExecutor:
         design = self.design
         architecture = self.architecture
         kappa = architecture.decoherence_rate
+        epr_fidelity = architecture.fidelities.epr_pair
         directory = EntanglementDirectory(
             architecture,
             attempt_policy=design.attempt_policy,
@@ -157,7 +159,7 @@ class BatchedExecutor:
                         pair = streams.pair_list[pair_id]
                         service = directory.service(pair[0], pair[1])
                         services[pair_id] = service
-                    start, link = service.acquire(ready)
+                    start, created = service.acquire(ready)
                     finish = start + remote_latency
                     avail[a] = finish
                     avail[b] = finish
@@ -172,8 +174,9 @@ class BatchedExecutor:
                         ready_time=ready,
                         start_time=start,
                         finish_time=finish,
-                        link_created_time=link.created_time,
-                        link_fidelity=link.fidelity_at(start, kappa),
+                        link_created_time=created,
+                        link_fidelity=werner_fidelity_after(
+                            epr_fidelity, max(0.0, start - created), kappa),
                     ))
                 elif op == OP_LOCAL_2Q:
                     time_a = avail[a]

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate
+from repro.entanglement.werner import werner_fidelity_after
 from repro.hardware.architecture import DQCArchitecture
 from repro.noise.fidelity import FidelityModel
 from repro.partitioning.assigner import DistributedProgram
@@ -302,10 +303,11 @@ class DesignExecutor:
             )
         ready = tracker.earliest_start(gate.qubits)
         service = directory.service(node_a, node_b)
-        start, link = service.acquire(ready)
+        start, created = service.acquire(ready)
         duration = times.remote_gate_latency()
         finish = tracker.occupy(gate.qubits, start, duration)
-        link_fidelity = link.fidelity_at(start, kappa)
+        link_fidelity = werner_fidelity_after(
+            service.initial_fidelity, max(0.0, start - created), kappa)
         if trace is not None:
             trace.record(GateTraceEntry(index, gate.name, gate.qubits,
                                         start, finish, is_remote=True,
@@ -315,7 +317,7 @@ class DesignExecutor:
             ready_time=ready,
             start_time=start,
             finish_time=finish,
-            link_created_time=link.created_time,
+            link_created_time=created,
             link_fidelity=link_fidelity,
         )
 

@@ -250,5 +250,5 @@ class EntanglementDirectory:
             totals["generated"] += service.statistics.generated_total
             totals["consumed_from_buffer"] += service.statistics.consumed_from_buffer
             totals["consumed_direct"] += service.statistics.consumed_direct
-            totals["wasted"] += service.total_wasted
+            totals["wasted"] += service.statistics.wasted_total
         return totals

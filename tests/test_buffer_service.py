@@ -1,20 +1,14 @@
-"""Unit tests for the buffer pool and the entanglement supply service."""
+"""Unit tests for the entanglement supply service and its link buffer."""
 
 import pytest
 
 from repro.entanglement import (
     AttemptPolicy,
     AttemptSchedule,
-    BufferPool,
     EntanglementGenerator,
-    EntanglementLink,
     EntanglementService,
 )
 from repro.exceptions import BufferError, EntanglementError
-
-
-def make_link(created=0.0, pair=(0, 1)):
-    return EntanglementLink(node_pair=pair, created_time=created)
 
 
 def make_service(policy=AttemptPolicy.ASYNCHRONOUS, capacity=10, psucc=0.4,
@@ -25,96 +19,95 @@ def make_service(policy=AttemptPolicy.ASYNCHRONOUS, capacity=10, psucc=0.4,
                                prefill=prefill, **kwargs)
 
 
+def make_clock(capacity, **kwargs):
+    """One pair succeeding every attempt: links created at 10, 20, 30, ...
+
+    and buffered one swap latency (1.0) later.
+    """
+    return make_service(policy=AttemptPolicy.SYNCHRONOUS, capacity=capacity,
+                        psucc=1.0, pairs=1, **kwargs)
+
+
 class TestBufferPool:
+    """The service's link buffer, driven through the service."""
+
     def test_store_and_consume(self):
-        pool = BufferPool(capacity=2)
-        link = make_link(0.0)
-        assert pool.store(link, 1.0)
-        assert len(pool) == 1
-        assert pool.count_available(0.5) == 0
-        assert pool.count_available(1.0) == 1
-        consumed = pool.pop_available(2.0)
-        assert consumed is link
-        assert pool.statistics.consumed_total == 1
+        service = make_clock(capacity=2)
+        assert service.count_available(10.5) == 0
+        assert service.count_available(11.0) == 1
+        assert service.acquire(15.0) == (15.0, 10.0)
+        assert service.statistics.consumed_from_buffer == 1
 
     def test_zero_capacity_rejects(self):
-        pool = BufferPool(capacity=0)
-        assert not pool.store(make_link(), 1.0)
-        assert pool.statistics.rejected_total == 1
+        service = make_clock(capacity=0)
+        assert service.count_available(35.0) == 0
+        assert service.statistics.generated_total == 3
+        assert service.statistics.wasted_total == 3
 
     def test_replace_oldest_when_full(self):
-        pool = BufferPool(capacity=1, replace_oldest_when_full=True)
-        old = make_link(0.0)
-        new = make_link(5.0)
-        pool.store(old, 1.0)
-        assert pool.store(new, 6.0)
-        assert pool.stored_links == [new]
-        assert pool.statistics.expired_total == 1
-
-    def test_reject_when_full_without_replacement(self):
-        pool = BufferPool(capacity=1, replace_oldest_when_full=False)
-        pool.store(make_link(0.0), 1.0)
-        assert not pool.store(make_link(2.0), 3.0)
-        assert pool.statistics.rejected_total == 1
+        service = make_clock(capacity=1)
+        assert service.count_available(25.0) == 1
+        assert service.statistics.wasted_total == 1
+        assert service.acquire(25.0) == (25.0, 20.0)
 
     def test_lifo_returns_freshest(self):
-        pool = BufferPool(capacity=3, consumption_order="lifo")
-        links = [make_link(t) for t in (0.0, 5.0, 10.0)]
-        for link in links:
-            pool.store(link, link.created_time + 1.0)
-        assert pool.pop_available(20.0) is links[2]
-
-    def test_fifo_returns_oldest(self):
-        pool = BufferPool(capacity=3, consumption_order="fifo")
-        links = [make_link(t) for t in (0.0, 5.0, 10.0)]
-        for link in links:
-            pool.store(link, link.created_time + 1.0)
-        assert pool.pop_available(20.0) is links[0]
+        service = make_clock(capacity=3)
+        assert service.count_available(35.0) == 3
+        assert [service.acquire(35.0)[1] for _ in range(3)] == \
+            [30.0, 20.0, 10.0]
 
     def test_pop_without_available_raises(self):
-        pool = BufferPool(capacity=2)
-        with pytest.raises(BufferError):
-            pool.pop_available(1.0)
-        pool.store(make_link(5.0), 6.0)
-        with pytest.raises(BufferError):
-            pool.pop_available(2.0)
+        service = make_clock(capacity=2)
+        with pytest.raises(EntanglementError):
+            service.acquire(0.5, max_scan=5.0)
+
+    def test_acquire_waits_for_swap_in_flight(self):
+        service = make_clock(capacity=2)
+        assert service.acquire(10.5) == (11.0, 10.0)
+        assert service.statistics.consumed_from_buffer == 1
+        assert service.statistics.consumed_direct == 0
 
     def test_cutoff_expiry(self):
-        pool = BufferPool(capacity=4, cutoff=10.0)
-        pool.store(make_link(0.0), 1.0)
-        pool.store(make_link(8.0), 9.0)
-        expired = pool.expire_until(15.0)
-        assert expired == 1
-        assert len(pool) == 1
+        service = make_clock(capacity=4, buffer_cutoff=15.0)
+        assert service.count_available(25.0) == 2
+        # Buffered at 11 and 21: both stored longer than the cutoff at 37.
+        assert service.count_available(37.0) == 1
+        assert service.statistics.wasted_total == 2
+        assert service.acquire(37.0) == (37.0, 30.0)
+
+    def test_cutoff_expiry_on_store(self):
+        # The link buffered at 11.5 expires when the one buffered at 21.5
+        # is stored, before the service reaches 21.5.
+        service = make_clock(capacity=4, buffer_cutoff=9.0, swap_latency=1.5)
+        assert service.count_available(20.0) == 0
+        assert service.statistics.wasted_total == 1
+        assert service.acquire(20.0) == (21.5, 20.0)
 
     def test_flush(self):
-        pool = BufferPool(capacity=4)
-        pool.store(make_link(0.0), 1.0)
-        pool.store(make_link(1.0), 2.0)
-        assert pool.flush(10.0) == 2
-        assert len(pool) == 0
+        service = make_clock(capacity=4)
+        service.finalize(25.0)
+        assert service.count_available(25.0) == 0
+        assert service.statistics.wasted_total == 2
 
     def test_mean_consumed_age(self):
-        pool = BufferPool(capacity=2)
-        pool.store(make_link(0.0), 1.0)
-        pool.pop_available(5.0)
-        assert pool.statistics.mean_consumed_age == pytest.approx(5.0)
+        service = make_clock(capacity=2)
+        ages = [ready - created for ready, created in
+                (service.acquire(25.0), service.acquire(25.0))]
+        assert sum(ages) / len(ages) == pytest.approx(10.0)
 
     def test_invalid_configuration(self):
         with pytest.raises(BufferError):
-            BufferPool(capacity=-1)
+            make_service(capacity=-1)
         with pytest.raises(BufferError):
-            BufferPool(capacity=1, cutoff=0.0)
-        with pytest.raises(BufferError):
-            BufferPool(capacity=1, consumption_order="weird")
+            make_service(capacity=1, buffer_cutoff=0.0)
 
 
 class TestEntanglementService:
     def test_buffered_acquire_is_immediate_when_stocked(self):
         service = make_service(psucc=1.0)
-        ready, link = service.acquire(50.0)
+        ready, created = service.acquire(50.0)
         assert ready == pytest.approx(50.0)
-        assert link.created_time <= 50.0
+        assert created <= 50.0
 
     def test_acquire_waits_when_nothing_generated_yet(self):
         service = make_service(policy=AttemptPolicy.SYNCHRONOUS, psucc=1.0)
@@ -123,11 +116,13 @@ class TestEntanglementService:
 
     def test_acquires_are_distinct_links(self):
         service = make_service(psucc=1.0)
-        ids = set()
         for _ in range(20):
-            _, link = service.acquire(100.0)
-            ids.add(link.link_id)
-        assert len(ids) == 20
+            service.acquire(100.0)
+        service.finalize(100.0)
+        stats = service.statistics
+        assert stats.consumed_total == 20
+        # Every generated link is consumed once or wasted once.
+        assert stats.generated_total == stats.consumed_total + stats.wasted_total
 
     def test_unbuffered_waits_for_fresh_success(self):
         service = make_service(capacity=0, psucc=1.0,
@@ -138,9 +133,7 @@ class TestEntanglementService:
 
     def test_prefill_serves_at_time_zero(self):
         service = make_service(prefill=5, psucc=0.4)
-        ready, link = service.acquire(0.0)
-        assert ready == pytest.approx(0.0)
-        assert link.created_time == 0.0
+        assert service.acquire(0.0) == (0.0, 0.0)
 
     def test_prefill_bounded_by_capacity(self):
         with pytest.raises(EntanglementError):
@@ -165,21 +158,20 @@ class TestEntanglementService:
         service.finalize(500.0)
         stats = service.statistics
         assert stats.generated_total > 3
-        assert service.total_wasted > 0
+        assert stats.wasted_total == stats.generated_total
         assert stats.consumed_total == 0
+
+    def test_prefilled_links_count_as_waste(self):
+        service = make_clock(capacity=3, prefill=3)
+        service.finalize(5.0)
+        assert service.statistics.generated_total == 0
+        assert service.statistics.wasted_total == 3
 
     def test_finalize_flushes_buffer(self):
         service = make_service(psucc=1.0)
         service.advance_to(100.0)
         service.finalize(100.0)
         assert service.count_available(100.0) == 0
-
-    def test_mean_consumed_fidelity_reasonable(self):
-        service = make_service(psucc=0.8, seed=2)
-        for t in range(20, 120, 10):
-            service.acquire(float(t))
-        fidelity = service.mean_consumed_fidelity()
-        assert 0.9 < fidelity <= 0.99
 
     def test_async_waits_shorter_than_sync_when_empty(self):
         sync = make_service(policy=AttemptPolicy.SYNCHRONOUS, psucc=1.0, seed=1)
@@ -199,3 +191,23 @@ class TestEntanglementService:
         generator = EntanglementGenerator(schedule, 0.5)
         with pytest.raises(EntanglementError):
             EntanglementService(generator, buffer_capacity=1, kappa=-0.1)
+
+    def test_invalid_link_configuration(self):
+        with pytest.raises(EntanglementError):
+            make_service(swap_latency=-1.0)
+        with pytest.raises(EntanglementError):
+            make_service(prefill=-1)
+        with pytest.raises(EntanglementError):
+            make_service(node_pair=(2, 2))
+        for fidelity in (0.0, 1.5):
+            with pytest.raises(EntanglementError):
+                make_service(initial_fidelity=fidelity)
+
+    def test_node_pair_normalised(self):
+        assert make_service(node_pair=(3, 1)).node_pair == (1, 3)
+
+    def test_negative_creation_time_rejected(self):
+        schedule = AttemptSchedule(num_pairs=1, start_time=-20.0)
+        generator = EntanglementGenerator(schedule, 0.5)
+        with pytest.raises(EntanglementError):
+            EntanglementService(generator, buffer_capacity=1, kappa=0.1)

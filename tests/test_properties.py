@@ -312,21 +312,25 @@ class _ReferenceSupply:
     Walks every attempt of every pair from
     :meth:`AttemptSchedule.attempt_index_completing_after` (so its grid-hit
     rule applies) and reads outcomes through the public per-pair
-    ``attempt_succeeds`` query; buffering goes through the same
-    :class:`BufferPool` as the service.
+    ``attempt_succeeds`` query.  Its buffer is an unordered list of
+    ``[created, buffered]`` records searched by brute force: a full buffer
+    drops the oldest link, a consumption takes the freshest available
+    link, and the cutoff expires links on every store, advance and
+    consumption.
     """
 
-    def __init__(self, generator, capacity, cutoff, swap_latency):
-        from repro.entanglement import BufferPool
-
+    def __init__(self, generator, capacity, cutoff, swap_latency, prefill):
         self.generator = generator
         self.schedule = generator.schedule
-        self.buffer = BufferPool(capacity, cutoff=cutoff)
+        self.capacity = capacity
+        self.cutoff = cutoff
         self.swap_latency = swap_latency
+        self.records = [[0.0, 0.0] for _ in range(prefill)]
         self.until = 0.0
         self.delivered = set()
         self.generated = 0
         self.direct = 0
+        self.wasted = 0
 
     def _successes(self, pair, start, end):
         attempt = self.schedule.attempt_index_completing_after(pair, start)
@@ -340,13 +344,36 @@ class _ReferenceSupply:
                 yield completion, pair, attempt
             attempt += 1
 
-    def _link(self, time, pair, attempt):
-        from repro.entanglement import EntanglementLink
-
+    def _deliver(self, time, pair, attempt):
         self.delivered.add((pair, attempt))
         self.generated += 1
-        return EntanglementLink(node_pair=(0, 1), created_time=time,
-                                initial_fidelity=0.99, pair_index=pair)
+
+    def _expire(self, time):
+        if self.cutoff is None:
+            return
+        kept = [record for record in self.records
+                if not time - record[1] > self.cutoff + 1e-12]
+        self.wasted += len(self.records) - len(kept)
+        self.records = kept
+
+    def _store(self, created, buffered):
+        self._expire(buffered)
+        if len(self.records) >= self.capacity:
+            self.wasted += 1
+            if self.capacity == 0:
+                return
+            self.records.remove(min(self.records))
+        self.records.append([created, buffered])
+
+    def _pop_freshest(self, time):
+        self._expire(time)
+        available = [record for record in self.records
+                     if record[1] <= time + 1e-12]
+        if not available:
+            return None
+        freshest = max(available)
+        self.records.remove(freshest)
+        return freshest[0]
 
     def advance_to(self, time):
         if time <= self.until + 1e-12:
@@ -355,35 +382,38 @@ class _ReferenceSupply:
             event for pair in range(self.schedule.num_pairs)
             for event in self._successes(pair, self.until, time))
         for event in events:
-            self.buffer.store(self._link(*event), event[0] + self.swap_latency)
+            self._deliver(*event)
+            self._store(event[0], event[0] + self.swap_latency)
         self.until = time
-        self.buffer.expire_until(time)
+        self._expire(time)
 
     def count_available(self, time):
         self.advance_to(time)
-        return self.buffer.count_available(time)
+        return sum(1 for record in self.records if record[1] <= time + 1e-12)
+
+    def finalize(self, time):
+        self.advance_to(time)
+        self.wasted += len(self.records)
+        self.records = []
 
     def acquire(self, after):
         self.advance_to(after)
-        if self.buffer.count_available(after) > 0:
-            return after, self.buffer.pop_available(after)
-        pending = [link.buffered_time for link in self.buffer.stored_links
-                   if link.buffered_time is not None
-                   and link.buffered_time > after]
+        created = self._pop_freshest(after)
+        if created is not None:
+            return after, created
+        pending = [record[1] for record in self.records if record[1] > after]
         if pending:
             ready = min(pending)
-            return ready, self.buffer.pop_available(ready)
+            return ready, self._pop_freshest(ready)
         start = max(after, self.until)
         # One success per pair at most 200 cycles out is certain enough
         # for psucc >= 0.2 (and deterministic per seed either way).
         best = min(next(self._successes(pair, start, start + 200
                                         * self.schedule.cycle_time))
                    for pair in range(self.schedule.num_pairs))
-        link = self._link(*best)
-        ready = max(after, best[0])
-        link.consume(ready)
+        self._deliver(*best)
         self.direct += 1
-        return ready, link
+        return max(after, best[0]), best[0]
 
 
 @st.composite
@@ -401,7 +431,9 @@ def supply_scripts(draw):
         "seed": draw(st.integers(0, 50)),
         "capacity": draw(st.sampled_from([0, 1, 3])),
         "cutoff": draw(st.sampled_from([None, 2.5, 40.0])),
+        "swap_latency": draw(st.sampled_from([1.0, 0.3, 3.0])),
     }
+    config["prefill"] = draw(st.integers(0, config["capacity"]))
     ops = []
     time = 0.0
     for _ in range(draw(st.integers(1, 25))):
@@ -431,9 +463,12 @@ def test_service_matches_per_attempt_reference(script):
                                      seed=config["seed"])
 
     service = EntanglementService(generator(), config["capacity"], kappa=0.01,
-                                  buffer_cutoff=config["cutoff"])
+                                  swap_latency=config["swap_latency"],
+                                  buffer_cutoff=config["cutoff"],
+                                  prefill=config["prefill"])
     reference = _ReferenceSupply(generator(), config["capacity"],
-                                 config["cutoff"], service.swap_latency)
+                                 config["cutoff"], config["swap_latency"],
+                                 config["prefill"])
     for kind, time in ops:
         if kind == "advance":
             service.advance_to(time)
@@ -442,16 +477,12 @@ def test_service_matches_per_attempt_reference(script):
             assert service.count_available(time) == \
                 reference.count_available(time)
         else:
-            ready, link = service.acquire(time)
-            ref_ready, ref_link = reference.acquire(time)
-            assert (ready, link.created_time, link.pair_index) == \
-                (ref_ready, ref_link.created_time, ref_link.pair_index)
+            assert service.acquire(time) == reference.acquire(time)
     service.finalize(ops[-1][1])
-    reference.advance_to(ops[-1][1])
-    reference.buffer.flush(ops[-1][1])
+    reference.finalize(ops[-1][1])
     assert service.statistics.generated_total == reference.generated
     assert service.statistics.consumed_direct == reference.direct
-    assert service.total_wasted == reference.buffer.statistics.wasted_total
+    assert service.statistics.wasted_total == reference.wasted
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class TestEntanglementDirectory:
 
     def test_unbuffered_configuration(self, small_architecture):
         directory = EntanglementDirectory(small_architecture, use_buffer=False)
-        assert directory.service(0, 1).buffer.capacity == 0
+        assert directory.service(0, 1).buffer_capacity == 0
 
     def test_prefill_configuration(self, small_architecture):
         directory = EntanglementDirectory(small_architecture, prefill=True)
